@@ -10,12 +10,14 @@ Mines the same >= 400-transaction corpus along two axes —
   hosts).  Every mode is compared against the plain
   :class:`~repro.runtime.base.SerialRuntime` baseline and records its
   ``wire_bytes_shipped``.
-* **Wire differential** — the same sharded mine once under
-  ``--wire buffer`` (flat-buffer codec, the default) and once under
-  ``--wire pickle``, comparing bytes shipped.  The flat buffer must ship
-  at least :data:`WIRE_RATIO_FLOOR` times fewer bytes with identical
-  output — byte counts are deterministic, so a shrinking ratio is a
-  codec regression, not noise.
+* **Wire differential** — one more sharded mine that also prices every
+  logical message the engine posts with
+  :func:`~repro.runtime.planner.wire_cost`, i.e. what shipping it pickled
+  would cost.  The flat-buffer wire must ship at least
+  :data:`WIRE_RATIO_FLOOR` times fewer bytes than that pickle baseline,
+  with identical output — byte counts are deterministic, so a shrinking
+  ratio is a codec regression, not noise.  The pricing run is untimed,
+  so the pickling it does never slows the scaling curve.
 
 Every run starts from a cold engine so no verdict cache leaks between
 modes, and the mined (pattern, support) multisets are compared across
@@ -49,7 +51,7 @@ from conftest import bench_env  # noqa: E402
 
 from repro.graphs.labeled_graph import LabeledGraph  # noqa: E402
 from repro.mining.fsg.miner import FSGMiner
-from repro.runtime import ShardedEngine
+from repro.runtime import ShardedEngine, wire_cost
 
 DEFAULT_TRANSACTIONS = 400
 DEFAULT_WORKER_COUNTS = (1, 2, 4)
@@ -101,14 +103,34 @@ def mine(corpus, runtime=None):
     return elapsed, len(result.patterns), signature
 
 
-def mine_sharded(corpus, *, workers: int, backend: str, wire: str | None = None):
-    runtime = ShardedEngine(shards=workers, backend=backend, wire=wire)
+def mine_sharded(corpus, *, workers: int, backend: str):
+    runtime = ShardedEngine(shards=workers, backend=backend)
     try:
         elapsed, count, signature = mine(corpus, runtime=runtime)
         shipped = runtime.wire_bytes_shipped
     finally:
         runtime.close()
     return elapsed, count, signature, shipped
+
+
+def wire_differential(corpus):
+    """A sharded mine's output, bytes shipped, and pickle-priced bytes."""
+    runtime = ShardedEngine(shards=WIRE_SHARDS, backend="serial")
+    pickled = 0
+    post = runtime._post
+
+    def priced_post(shard, message):
+        nonlocal pickled
+        pickled += wire_cost(message)
+        post(shard, message)
+
+    runtime._post = priced_post
+    try:
+        _, _, signature = mine(corpus, runtime=runtime)
+        shipped = runtime.wire_bytes_shipped
+    finally:
+        runtime.close()
+    return signature, shipped, pickled
 
 
 def main() -> None:
@@ -131,7 +153,6 @@ def main() -> None:
 
     divergent: list[str] = []
     scaling: list[dict] = []
-    buffer_bytes_at_wire_shards: int | None = None
     for workers in worker_counts:
         for backend in ("serial", "process"):
             elapsed, count, signature, shipped = mine_sharded(
@@ -141,8 +162,6 @@ def main() -> None:
             if signature != serial_signature:
                 divergent.append(label)
                 print(f"ERROR: {label} changed mining output", file=sys.stderr)
-            if workers == WIRE_SHARDS and backend == "serial":
-                buffer_bytes_at_wire_shards = shipped
             speedup = serial_s / elapsed
             scaling.append(
                 {
@@ -158,22 +177,15 @@ def main() -> None:
                 f"wire_bytes={shipped}"
             )
 
-    # Wire differential: same corpus, same shard count, pickle wire.
-    # The buffer-wire twin already ran in the curve above.
-    _, _, pickle_signature, pickle_bytes = mine_sharded(
-        corpus, workers=WIRE_SHARDS, backend="serial", wire="pickle"
-    )
-    if pickle_signature != serial_signature:
-        divergent.append("sharded-serial-pickle")
-        print("ERROR: pickle wire changed mining output", file=sys.stderr)
-    assert buffer_bytes_at_wire_shards is not None or WIRE_SHARDS not in worker_counts
-    if buffer_bytes_at_wire_shards is None:
-        _, _, _, buffer_bytes_at_wire_shards = mine_sharded(
-            corpus, workers=WIRE_SHARDS, backend="serial", wire="buffer"
-        )
-    wire_ratio = pickle_bytes / buffer_bytes_at_wire_shards
+    # Wire differential: same corpus, same shard count, every posted
+    # message also priced as a pickle.
+    priced_signature, buffer_bytes, pickle_bytes = wire_differential(corpus)
+    if priced_signature != serial_signature:
+        divergent.append("sharded-serial-priced")
+        print("ERROR: pickle-priced run changed mining output", file=sys.stderr)
+    wire_ratio = pickle_bytes / buffer_bytes
     print(
-        f"wire differential (K={WIRE_SHARDS}): buffer={buffer_bytes_at_wire_shards} "
+        f"wire differential (K={WIRE_SHARDS}): buffer={buffer_bytes} "
         f"pickle={pickle_bytes} ratio={wire_ratio:.2f}x (floor {WIRE_RATIO_FLOOR}x)"
     )
 
@@ -196,7 +208,7 @@ def main() -> None:
         "scaling": scaling,
         "wire": {
             "shards": WIRE_SHARDS,
-            "wire_bytes_buffer": buffer_bytes_at_wire_shards,
+            "wire_bytes_buffer": buffer_bytes,
             "wire_bytes_pickle": pickle_bytes,
             "ratio": round(wire_ratio, 2),
             "ratio_floor": WIRE_RATIO_FLOOR,

@@ -84,7 +84,6 @@ def bench_env(scenario: str | None = None, corpus_size: int | None = None) -> di
     from repro.runtime import (
         resolve_backend,
         resolve_kernel,
-        resolve_wire,
         resolve_workers,
     )
 
@@ -101,7 +100,6 @@ def bench_env(scenario: str | None = None, corpus_size: int | None = None) -> di
         "load_avg": load_avg,
         "workers": resolve_workers(None),
         "backend": resolve_backend(None),
-        "wire": resolve_wire(None),
         "env_overrides": {
             key: value
             for key, value in sorted(os.environ.items())

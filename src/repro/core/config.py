@@ -17,12 +17,7 @@ from repro.datasets.binning import BinningScheme, default_binning_scheme
 from repro.datasets.generator import GeneratorConfig, TransportationDataGenerator
 from repro.datasets.schema import TransactionDataset
 from repro.obs.tracer import get_tracer
-from repro.runtime import (
-    resolve_backend,
-    resolve_kernel,
-    resolve_wire,
-    resolve_workers,
-)
+from repro.runtime import resolve_backend, resolve_kernel, resolve_workers
 
 
 @dataclass
@@ -51,11 +46,6 @@ class ExperimentConfig:
         ``"vectorized"``); ``None`` defers to ``REPRO_KERNEL`` (default
         ``"python"``).  The kernel changes wall-clock only, never the
         mined patterns.
-    wire:
-        Sharded-runtime message encoding (``"buffer"`` or ``"pickle"``);
-        ``None`` defers to ``REPRO_WIRE`` (default ``"buffer"``).  Like
-        the kernel, the wire changes bytes shipped and wall-clock only,
-        never the mined patterns.
     """
 
     scale: float = 0.05
@@ -66,7 +56,6 @@ class ExperimentConfig:
     workers: int | None = None
     backend: str | None = None
     kernel: str | None = None
-    wire: str | None = None
     _dataset_cache: TransactionDataset | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -75,7 +64,6 @@ class ExperimentConfig:
         resolve_workers(self.workers)
         resolve_backend(self.backend)
         resolve_kernel(self.kernel)
-        resolve_wire(self.wire)
 
     def binning(self) -> BinningScheme:
         """The binning scheme implied by the configuration."""

@@ -6,7 +6,7 @@ the plain-text report ``repro trace summarize`` prints:
 * a **level × worker table** of seconds spent per mining level on each
   timeline (shard workers when the run was sharded, the main timeline
   otherwise), with a per-level imbalance ratio — the max/min across
-  shards that round-robin tid placement cannot always keep near 1.0;
+  shards that tid placement cannot always keep near 1.0;
 * the **top-N spans** by duration, across all workers;
 * **metric highlights** — wire bytes, shipment mix, store and
   verdict-cache hit rates — derived from the registry counters.
@@ -23,7 +23,7 @@ from repro.obs.export import TraceData
 #: Span names whose duration counts toward a worker's per-level cell.
 #: Shard timelines are summed over their leveled message spans; the main
 #: timeline uses the miner's own level spans.
-_SHARD_LEVEL_SPANS = ("shard.slevel", "shard.level", "shard.batch")
+_SHARD_LEVEL_SPANS = ("shard.slevel", "shard.batch")
 _MAIN_LEVEL_SPAN = "fsg.level"
 
 

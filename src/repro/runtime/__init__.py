@@ -6,29 +6,32 @@ scales that hot path without ever changing mining output:
 
 * :class:`~repro.runtime.base.MiningRuntime` — the substrate interface
   the miners program against (register transactions, batched support over
-  global tids, aggregated stats).
+  global tids, mining sessions, aggregated stats).
 * :class:`~repro.runtime.base.SerialRuntime` — single-engine reference
   implementation; the default everywhere, byte-identical to the
   pre-runtime behaviour.
 * :class:`~repro.runtime.shards.ShardedEngine` — K shards, each owning
-  its transactions' indexes and verdict cache, fed by a
-  :class:`~repro.runtime.planner.BatchSupportPlanner` that evaluates a
-  whole FSG level against each shard in one transaction-major pass.
+  its transactions' indexes and verdict cache.  It runs one
+  configuration: weighted tid placement
+  (:class:`~repro.runtime.planner.PlacementPolicy`), the flat-buffer
+  wire (:mod:`~repro.runtime.wire`, shipped through shared memory on the
+  process backend), and stateful :class:`~repro.runtime.shards.
+  ShardedSession` levels, where shards keep each level's patterns
+  resident and derived candidates ship as small deltas.
 * :class:`~repro.runtime.pool.WorkerPool` — the backend abstraction:
   ``serial`` (inline, deterministic debugging) and ``process``
   (``multiprocessing`` workers speaking the CompactGraph wire format).
 * :mod:`~repro.runtime.faults` — the deterministic fault-injection
   harness (``REPRO_FAULTS`` / ``--faults``) that drives the sharded
   engine's supervision layer: dead or hung workers are detected via
-  deadline polling (``REPRO_WORKER_TIMEOUT``), respawned with bounded
-  retries (``REPRO_RECOVERY_RETRIES`` / ``REPRO_RECOVERY_BACKOFF``),
-  deterministically rebuilt, and the in-flight level replayed — with an
-  in-process degraded mode as the last resort, so output never changes.
+  deadline polling (``REPRO_WORKER_TIMEOUT``), respawned with a fixed
+  retry budget and exponential backoff, deterministically rebuilt, and
+  the in-flight level replayed — with an in-process degraded mode as
+  the last resort, so output never changes.
 
 Pick a runtime with :func:`create_runtime`, or set ``REPRO_WORKERS`` /
-``REPRO_BACKEND`` / ``REPRO_KERNEL`` / ``REPRO_WIRE`` /
-``REPRO_PLACEMENT`` to switch a whole run (or CI job) without code
-changes.
+``REPRO_BACKEND`` / ``REPRO_KERNEL`` to switch a whole run (or CI job)
+without code changes.
 """
 
 from __future__ import annotations
@@ -57,13 +60,10 @@ from repro.runtime.bitsets import (
     unpack_bits,
 )
 from repro.runtime.planner import (
-    PLACEMENT_ENV,
     BatchSupportPlanner,
     PlacementPolicy,
     ShardBatch,
-    ShardLevelBatch,
     ShardSessionBatch,
-    resolve_placement,
     wire_cost,
 )
 from repro.runtime.faults import (
@@ -89,8 +89,6 @@ from repro.runtime.shards import ShardedEngine, ShardedSession, ShardWorker
 from repro.runtime.wire import (
     BLOB_OP,
     SHM_OP,
-    WIRE_ENV,
-    WIRES,
     WireFormatError,
     decode_message,
     encode_message,
@@ -103,11 +101,8 @@ __all__ = [
     "FAULTS_ENV",
     "KERNELS",
     "KERNEL_ENV",
-    "PLACEMENT_ENV",
     "SESSION_TELEMETRY_KEYS",
     "SHM_OP",
-    "WIRES",
-    "WIRE_ENV",
     "WORKER_TIMEOUT_ENV",
     "BatchSupportPlanner",
     "PlacementPolicy",
@@ -123,7 +118,6 @@ __all__ = [
     "SerialBackend",
     "SerialRuntime",
     "ShardBatch",
-    "ShardLevelBatch",
     "ShardSessionBatch",
     "ShardWorker",
     "ShardedEngine",
@@ -146,7 +140,6 @@ __all__ = [
     "resolve_backend",
     "resolve_faults",
     "resolve_kernel",
-    "resolve_placement",
     "resolve_wire",
     "resolve_worker_timeout",
     "resolve_workers",
@@ -162,7 +155,6 @@ def create_runtime(
     backend: str | None = None,
     engine: MatchEngine | None = None,
     kernel: str | None = None,
-    wire: str | None = None,
 ) -> MiningRuntime:
     """The runtime implied by a ``workers`` knob.
 
@@ -176,10 +168,6 @@ def create_runtime(
     ``"vectorized"``, defaulting to ``REPRO_KERNEL`` or ``"python"``) and
     applies to every engine the runtime owns — shard engines included.
 
-    *wire* picks the sharded runtime's message encoding (``"buffer"`` or
-    ``"pickle"``, defaulting to ``REPRO_WIRE`` or ``"buffer"``); the
-    serial runtime has no wire and ignores it.
-
     *engine* applies to the serial case only: a sharded runtime owns one
     engine (label table, indexes, verdict cache) per shard by design, so
     a caller-supplied engine — and any caches warmed in it — is not used
@@ -189,4 +177,4 @@ def create_runtime(
     workers = resolve_workers(workers)
     if workers <= 1:
         return SerialRuntime(engine=engine, kernel=kernel)
-    return ShardedEngine(shards=workers, backend=backend, kernel=kernel, wire=wire)
+    return ShardedEngine(shards=workers, backend=backend, kernel=kernel)

@@ -112,8 +112,8 @@ class LevelRequest:
 #: ``patterns_delta`` whenever the parent's residency model and the
 #: shard stores agree, so the pair is a protocol-consistency
 #: cross-check; and ``evictions`` counts per-shard pattern-store entries
-#: retired (miner-driven and shard-capacity evictions on one ruler; a
-#: stateless session, having no store, reports zero).
+#: retired (miner-driven and shard-capacity evictions on one ruler; the
+#: serial runtime's session, having no store, reports zero).
 #: ``shard_scan_max`` / ``shard_scan_min`` expose the level's placement
 #: skew: the largest and smallest per-shard scan workload (candidate
 #: tids assigned to the shard, summed over the level's requests; an idle
@@ -156,10 +156,9 @@ class MiningSession(ABC):
     A level-wise miner opens one session per mining run and drives every
     level through it.  The session is what lets a runtime keep per-level
     state alive between calls — resident shard-side pattern stores, delta
-    shipping of derived candidates, deferred evictions — none of which
-    the stateless :meth:`MiningRuntime.batch_support_level` can amortise.
-    Sessions never change mining output: :meth:`support_level` must
-    return exactly what the runtime's stateless method would.
+    shipping of derived candidates, deferred evictions.  Sessions never
+    change mining output: every runtime's :meth:`support_level` returns
+    exactly what :class:`SerialRuntime`'s does.
     """
 
     #: Whether :meth:`support_level` requests benefit from carrying
@@ -180,12 +179,19 @@ class MiningSession(ABC):
         requests: Sequence[LevelRequest],
         min_support: int | None = None,
     ) -> list[int]:
-        """Per-request supporting-tid bitsets for one mining level.
+        """Per-request supporting-tid *bitsets* for one mining level.
 
-        Semantics are identical to
-        :meth:`MiningRuntime.batch_support_level`; a session is free to
-        answer through resident state instead of shipping each request
-        whole.
+        The incremental counterpart of :meth:`MiningRuntime.batch_support`:
+        requests carry global-tid bitsets and embedding-store derivations,
+        answers come back as global-tid bitsets (shard results merge with
+        ``|``).  *min_support* arms per-pattern early abort — a request
+        whose support provably cannot reach it may return a partial
+        bitset, always of population below the threshold.  Requests whose
+        patterns survive are counted exactly; together with the exactness
+        of extension-vs-search verdicts this keeps every runtime's mining
+        output identical to the serial full-search reference.  A session
+        is free to answer through resident state instead of shipping each
+        request whole.
         """
 
     @abstractmethod
@@ -218,87 +224,35 @@ class MiningSession(ABC):
 
 
 class DelegatingSession(MiningSession):
-    """A stateless session: every call delegates to the runtime directly.
+    """:class:`SerialRuntime`'s session: every call delegates directly.
 
-    This is the default session of every runtime, and the only session
-    :class:`SerialRuntime` ever hands out — the delegation preserves the
-    exact engine-call sequence of the sessionless path, so serial mining
-    stays byte-identical whether or not a session is in the loop.
-    ``wire_bytes`` telemetry is read from the runtime's
-    ``wire_bytes_shipped`` counter when it keeps one (sharded runtimes
-    do), which is what lets a full-wire sharded baseline be measured
-    through the same telemetry as the delta protocol.
+    The delegation preserves the exact engine-call sequence of the
+    sessionless path, so serial mining stays byte-identical whether or
+    not a session is in the loop.  One engine is one "shard": each
+    request counts as one full shipment, and nothing crosses a wire.
     """
 
-    def __init__(self, runtime: "MiningRuntime") -> None:
+    def __init__(self, runtime: "SerialRuntime") -> None:
         super().__init__()
         self._runtime = runtime
-        # Levels served so far; the miner primes level 1 first, so call
-        # N is mining level N — used to stamp gathered worker spans.
-        self._level = 0
 
     @property
     def wants_keys(self) -> bool:
-        # The runtime knows whether its engines' kernel consults the
-        # verdict cache (see ``MiningRuntime.wants_verdict_keys``).
-        return getattr(self._runtime, "wants_verdict_keys", True)
-
-    def _wire_counter(self) -> int:
-        return getattr(self._runtime, "wire_bytes_shipped", 0)
-
-    def _posted_counter(self) -> int | None:
-        return getattr(self._runtime, "level_patterns_posted", None)
+        # The runtime knows whether its engine's kernel consults the
+        # verdict cache (see ``SerialRuntime.wants_verdict_keys``).
+        return self._runtime.wants_verdict_keys
 
     def support_level(
         self,
         requests: Sequence[LevelRequest],
         min_support: int | None = None,
     ) -> list[int]:
-        self._level += 1
-        wire_before = self._wire_counter()
-        posted_before = self._posted_counter()
-        recovery = getattr(self._runtime, "recovery", None)
-        recovery_before = dict(recovery) if recovery is not None else None
         supports = self._runtime.batch_support_level(requests, min_support)
-        self._telemetry["wire_bytes"] += self._wire_counter() - wire_before
-        if recovery_before is not None:
-            # Supervised runtimes count respawns and replays; surface the
-            # delta this level caused, same pattern as the wire counter.
-            for key in ("worker_restarts", "level_replays"):
-                self._telemetry[key] += recovery[key] - recovery_before[key]
-        if posted_before is not None:
-            # Sharded runtimes count the full wires they actually posted
-            # — one per (request, shard) pair, the same ruler the
-            # stateful session and the shard-side stats counters use.
-            self._telemetry["patterns_full"] += self._posted_counter() - posted_before
-        else:
-            # One engine, one "shard": per-(request, shard) degenerates
-            # to one shipment per request.
-            self._telemetry["patterns_full"] += len(requests)
-        # Sharded runtimes record each level's per-shard scan workload;
-        # surface the placement skew (absent attribute on SerialRuntime:
-        # one engine, no skew to report).
-        scan_units = getattr(self._runtime, "last_level_scan_units", None)
-        if scan_units:
-            self._telemetry["shard_scan_max"] = max(scan_units)
-            self._telemetry["shard_scan_min"] = min(scan_units)
-        placement_loads = getattr(self._runtime, "placement_loads", None)
-        if placement_loads:
-            self._telemetry["placement_weight_max"] = max(placement_loads)
-            self._telemetry["placement_weight_min"] = min(placement_loads)
-        # Sharded runtimes buffer the worker spans a tracing run gathers;
-        # stamp them with this level (no-op attribute on SerialRuntime).
-        drain = getattr(self._runtime, "drain_worker_spans", None)
-        if drain is not None:
-            drain(level=self._level)
+        self._telemetry["patterns_full"] += len(requests)
         return supports
 
     def evict(self, uids: Iterable[object]) -> None:
-        # No pattern store behind a stateless session, so no store
-        # evictions to report — only the wire the retirement costs.
-        before = self._wire_counter()
-        self._runtime.drop_anchors(list(uids))
-        self._telemetry["wire_bytes"] += self._wire_counter() - before
+        self._runtime.drop_anchors(uids)
 
 
 class MiningRuntime(ABC):
@@ -343,36 +297,12 @@ class MiningRuntime(ABC):
         return self.batch_support([pattern], None if tids is None else [tids])[0]
 
     @abstractmethod
-    def batch_support_level(
-        self,
-        requests: Sequence[LevelRequest],
-        min_support: int | None = None,
-    ) -> list[int]:
-        """Per-request supporting-tid *bitsets* for one mining level.
-
-        The incremental counterpart of :meth:`batch_support`: requests
-        carry global-tid bitsets and embedding-store derivations, answers
-        come back as global-tid bitsets (shard results merge with ``|``).
-        *min_support* arms per-pattern early abort — a request whose
-        support provably cannot reach it may return a partial bitset,
-        always of population below the threshold.  Requests whose
-        patterns survive are counted exactly; together with the exactness
-        of extension-vs-search verdicts this keeps every runtime's mining
-        output identical to the serial full-search reference.
-        """
-
-    def drop_anchors(self, uids: Iterable[object]) -> None:
-        """Forget stored embeddings for *uids* on every shard (no-op default)."""
-
     def open_session(self) -> MiningSession:
         """Open a mining session for one level-wise run.
 
-        The default is a :class:`DelegatingSession` (stateless, exact
-        same calls as driving the runtime directly); runtimes with
-        per-level state worth keeping alive override this.  The caller
-        owns the session and must :meth:`MiningSession.close` it.
+        The caller owns the session and must
+        :meth:`MiningSession.close` it.
         """
-        return DelegatingSession(self)
 
     @abstractmethod
     def stats(self) -> dict[str, int]:
@@ -448,6 +378,11 @@ class SerialRuntime(MiningRuntime):
         requests: Sequence[LevelRequest],
         min_support: int | None = None,
     ) -> list[int]:
+        """Per-request supporting-tid bitsets for one mining level.
+
+        What :meth:`DelegatingSession.support_level` answers with; see
+        :meth:`MiningSession.support_level` for the semantics.
+        """
         tasks = [
             EmbeddingTask(
                 pattern=request.pattern,
@@ -463,7 +398,11 @@ class SerialRuntime(MiningRuntime):
         return [bits_of(tids) for tids in self.engine.support_with_embeddings(tasks)]
 
     def drop_anchors(self, uids: Iterable[object]) -> None:
+        """Forget the engine's stored embeddings for *uids*."""
         self.engine.drop_anchors(uids)
+
+    def open_session(self) -> MiningSession:
+        return DelegatingSession(self)
 
     def stats(self) -> dict[str, int]:
         snapshot = self.engine.stats_snapshot()

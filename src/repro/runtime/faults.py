@@ -27,11 +27,11 @@ and filter keys
 ``shard=N``
     Only fire on shard ``N`` (default: any shard).
 ``op=NAME``
-    Only fire on messages whose op is ``NAME`` (``slevel``, ``level``,
-    ``batch``, ``add``...; default: any op).
+    Only fire on messages whose op is ``NAME`` (``slevel``, ``batch``,
+    ``add``...; default: any op).
 ``level=N``
     Only fire on the worker's ``N``-th level-type message (``slevel`` /
-    ``level`` / ``batch``), counted from arming.  The miner primes level
+    ``batch``), counted from arming.  The miner primes level
     1 first, so on a freshly armed worker this is the mining level for
     shards that receive every level.
 ``nth=N``
@@ -68,7 +68,7 @@ FAULT_KINDS = ("kill", "hang", "corrupt-reply")
 
 #: Message ops that advance the injector's level counter (the worker-side
 #: mirror of "one mining level = one level-type message per shard").
-_LEVEL_OPS = frozenset({"slevel", "level", "batch"})
+_LEVEL_OPS = frozenset({"slevel", "batch"})
 
 #: What a corrupted reply is replaced with: a value no shard op ever
 #: legitimately returns, so the parent's shape validation always flags it.

@@ -18,11 +18,14 @@ the index entry is resolved once and candidate buckets are filtered once
 per distinct requirement, serving every pattern in the batch.  Merging is
 trivial because shards partition the transactions: the per-pattern global
 support set is the disjoint union of the shard-local results.
+
+A mining session's levels go through :meth:`BatchSupportPlanner.
+plan_session_level` instead, which ships a derived candidate as a small
+delta against its parent when that parent is resident on the shard.
 """
 
 from __future__ import annotations
 
-import os
 import pickle
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -42,14 +45,15 @@ def wire_cost(value) -> int:
     """Measured serialized size of a wire payload, in bytes.
 
     The actual ``pickle.dumps`` length at a pinned protocol — exactly
-    what the process backend's pipe would carry for *value* — rather
-    than the pickle-era estimate this function used to return.  The
+    what the process backend's pipe carries for *value* — rather than
+    the pickle-era estimate this function used to return.  The
     measurement is deterministic (same value, same bytes) and applied
     uniformly under both pool backends, so serial-backend telemetry
-    reads in the same units as a real multiprocess run, and the two
-    wire formats (``pickle`` vs ``buffer``) are compared with the same
-    ruler.  Values pickle cannot serialize fall back to the old framing
-    model so accounting never raises mid-mine.
+    reads in the same units as a real multiprocess run.  It prices the
+    messages the flat-buffer codec does not cover, and summed over a
+    run's logical messages it is the pickle baseline the codec's byte
+    savings are measured against.  Values pickle cannot serialize fall
+    back to the old framing model so accounting never raises mid-mine.
     """
     try:
         return len(pickle.dumps(value, WIRE_PICKLE_PROTOCOL))
@@ -80,61 +84,28 @@ def _estimated_wire_cost(value) -> int:
 
 
 class PlacementPolicy:
-    """Deterministic tid-to-shard placement.
+    """Deterministic, support-weighted tid-to-shard placement.
 
-    ``weighted`` (the default) greedily assigns each arriving
-    transaction to the currently lightest shard, where a transaction's
-    weight is its edge count — the level-1 scan cost every shard pays
-    per resident transaction.  Ties break toward the lowest shard id,
-    so placement is a pure function of the arrival order and weights:
-    reruns of the same corpus reproduce the same partition, which keeps
-    golden digests stable.  On uniform weights the policy degenerates to
-    exact round-robin, matching the legacy layout.
-
-    ``roundrobin`` keeps the legacy static ``arrival % n_shards``
-    placement, retained as the A/B baseline for the skew benchmarks.
+    Each arriving transaction goes to the currently lightest shard,
+    where a transaction's weight is its edge count — the level-1 scan
+    cost every shard pays per resident transaction.  Ties break toward
+    the lowest shard id, so placement is a pure function of the arrival
+    order and weights: reruns of the same corpus reproduce the same
+    partition, which keeps golden digests stable.  On uniform weights
+    the policy degenerates to exact round-robin.
     """
 
-    POLICIES = ("weighted", "roundrobin")
-
-    def __init__(self, n_shards: int, policy: str = "weighted"):
-        if policy not in self.POLICIES:
-            raise ValueError(
-                f"unknown placement policy {policy!r}; expected one of {self.POLICIES}"
-            )
+    def __init__(self, n_shards: int):
         self.n_shards = n_shards
-        self.policy = policy
-        #: Cumulative placed weight per shard — the balance the weighted
-        #: policy levels, exported to telemetry by the engine.
+        #: Cumulative placed weight per shard — the balance the policy
+        #: levels, exported to telemetry by the engine.
         self.loads = [0] * n_shards
-        self._arrivals = 0
 
     def place(self, weight: int) -> int:
         """Assign the next transaction (scan cost *weight*) to a shard."""
-        if self.policy == "roundrobin":
-            shard = self._arrivals % self.n_shards
-        else:
-            shard = min(range(self.n_shards), key=lambda s: (self.loads[s], s))
-        self._arrivals += 1
+        shard = min(range(self.n_shards), key=lambda s: (self.loads[s], s))
         self.loads[shard] += max(1, weight)
         return shard
-
-
-#: Environment fallback consulted when no explicit placement policy is given.
-PLACEMENT_ENV = "REPRO_PLACEMENT"
-
-
-def resolve_placement(policy: str | None) -> str:
-    """Resolve the placement policy: explicit value, else
-    ``$REPRO_PLACEMENT``, else ``"weighted"``."""
-    if policy is None:
-        policy = os.environ.get(PLACEMENT_ENV) or PlacementPolicy.POLICIES[0]
-    if policy not in PlacementPolicy.POLICIES:
-        raise ValueError(
-            f"unknown placement policy {policy!r}; "
-            f"expected one of {PlacementPolicy.POLICIES}"
-        )
-    return policy
 
 
 @dataclass
@@ -236,61 +207,10 @@ class BatchSupportPlanner:
             return pattern.to_wire()
         return CompactGraph.from_labeled(pattern, table).to_wire()
 
-    # ------------------------------------------------------------------
-    # Incremental (embedding-store) level planning
-    # ------------------------------------------------------------------
-    def plan_level(
-        self,
-        requests: Sequence,
-        table: LabelTable,
-        locate,
-        min_support: int | None = None,
-    ) -> list["ShardLevelBatch"]:
-        """Split :class:`~repro.runtime.base.LevelRequest` batches per shard.
-
-        Like :meth:`plan`, but requests carry global-tid *bitsets* and the
-        embedding-store derivation tokens (uid / parent uid / extension),
-        which ride along to every shard that owns any of the request's
-        candidate transactions.  The early-abort threshold is translated
-        into each shard's frame of reference: a shard holding ``m`` of a
-        request's ``n`` candidate tids may abort once even sweeping its
-        remaining slice cannot push the *global* count to *min_support* —
-        i.e. its local bound is ``min_support - (n - m)``.  That bound is
-        sound whatever the other shards find, so aborts can never make
-        runtimes disagree on which candidates survive.
-        """
-        batches = [ShardLevelBatch(shard=shard) for shard in range(self.n_shards)]
-        for position, request in enumerate(requests):
-            tids = tids_of(request.tid_bits)
-            by_shard: dict[int, list[int]] = {}
-            for tid in tids:
-                shard, local = locate(tid)
-                by_shard.setdefault(shard, []).append(local)
-            if not by_shard:
-                continue
-            wire = self._wire_of(request.pattern, table)
-            total = len(tids)
-            for shard, locals_ in sorted(by_shard.items()):
-                batch = batches[shard]
-                batch.positions.append(position)
-                batch.wires.append(wire)
-                batch.tid_lists.append(sorted(locals_))
-                batch.scan_tids += len(locals_)
-                batch.keys.append(request.key)
-                batch.uids.append(request.uid)
-                batch.parent_uids.append(request.parent_uid)
-                batch.extensions.append(request.extension)
-                if min_support is None:
-                    batch.abort_bounds.append(None)
-                else:
-                    bound = min_support - (total - len(locals_))
-                    batch.abort_bounds.append(bound if bound > 0 else None)
-        return batches
-
     @staticmethod
     def merge_level(
         n_requests: int,
-        batches: Sequence["ShardLevelBatch"],
+        batches: Sequence["ShardSessionBatch"],
         shard_results: Sequence[Sequence[Sequence[int]] | None],
         to_global,
     ) -> list[int]:
@@ -312,7 +232,6 @@ class BatchSupportPlanner:
                     )
         return merged
 
-
     # ------------------------------------------------------------------
     # Stateful (mining-session) level planning
     # ------------------------------------------------------------------
@@ -327,8 +246,11 @@ class BatchSupportPlanner:
     ) -> list["ShardSessionBatch"]:
         """Split a level across shards that keep resident pattern stores.
 
-        Like :meth:`plan_level`, but each ``(request, shard)`` pair ships
-        the cheapest payload the shard's state allows:
+        Requests carry global-tid *bitsets* and the embedding-store
+        derivation tokens (uid / parent uid / extension), which ride
+        along to every shard that owns any of the request's candidate
+        transactions.  Each ``(request, shard)`` pair ships the cheapest
+        payload the shard's state allows:
 
         * **delta** ``("d", edge_label_id, new_label_id, mask_buffer)``
           when the request's parent is resident on the shard
@@ -353,8 +275,15 @@ class BatchSupportPlanner:
         evicts their verdicts) and no ``(pattern, tid)`` pair repeats
         within a run, so shard-side verdict caching has nothing to hit —
         dropping the canonical-code strings from the wire is pure
-        savings.  Abort bounds are localized exactly as in
-        :meth:`plan_level`.
+        savings.
+
+        The early-abort threshold is translated into each shard's frame
+        of reference: a shard holding ``m`` of a request's ``n`` candidate
+        tids may abort once even sweeping its remaining slice cannot push
+        the *global* count to *min_support* — i.e. its local bound is
+        ``min_support - (n - m)``.  That bound is sound whatever the other
+        shards find, so aborts can never make runtimes disagree on which
+        candidates survive.
         """
         batches = [ShardSessionBatch(shard=shard) for shard in range(self.n_shards)]
         for position, request in enumerate(requests):
@@ -451,30 +380,3 @@ class ShardSessionBatch:
 
     def count_delta(self) -> int:
         return sum(1 for payload in self.payloads if payload[0] == "d")
-
-
-@dataclass
-class ShardLevelBatch:
-    """The slice of an incremental level batch destined for one shard.
-
-    Parallel lists, all aligned with ``positions`` (indices into the
-    level's request list); ``tid_lists`` are in the shard's local tid
-    space and ``abort_bounds`` are the shard-local early-abort
-    thresholds (``None`` disables abort for that request).
-    """
-
-    shard: int
-    positions: list[int] = field(default_factory=list)
-    wires: list[tuple] = field(default_factory=list)
-    tid_lists: list[list[int]] = field(default_factory=list)
-    keys: list[object] = field(default_factory=list)
-    uids: list[object] = field(default_factory=list)
-    parent_uids: list[object] = field(default_factory=list)
-    extensions: list[tuple | None] = field(default_factory=list)
-    abort_bounds: list[int | None] = field(default_factory=list)
-    #: Scan workload routed to this shard: candidate tids summed over the
-    #: level's requests (the shard-skew telemetry's unit of account).
-    scan_tids: int = 0
-
-    def is_empty(self) -> bool:
-        return not self.positions

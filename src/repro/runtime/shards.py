@@ -1,7 +1,8 @@
 """Sharded support counting: K engine shards behind one runtime facade.
 
-A :class:`ShardedEngine` partitions registered transactions round-robin
-across K shards.  Each shard owns the full matching state for its slice —
+A :class:`ShardedEngine` partitions registered transactions across K
+shards by deterministic, support-weighted placement (see
+:class:`~repro.runtime.planner.PlacementPolicy`).  Each shard owns the full matching state for its slice —
 a :class:`~repro.graphs.compact.LabelTable` replica, the per-transaction
 :class:`~repro.graphs.index.GraphIndex` set, and its own
 ``(pattern canonical code, tid)`` verdict LRU — so shards never share
@@ -10,10 +11,12 @@ mutable state and support counts merge by disjoint union.
 Transactions and patterns travel as :class:`CompactGraph` wire tuples:
 pure-integer payloads against a label-table replica the parent keeps in
 sync by shipping append-only deltas.  Workers therefore never re-intern a
-label and never rebuild string keys; with the process backend the pickles
-are tuples of small ints.
+label and never rebuild string keys.  Every data-plane message is encoded
+as one flat buffer (:mod:`repro.runtime.wire`), which the process backend
+may ship through shared memory; the few messages the codec does not
+cover are pickled.
 
-Level-wise mining goes further through a **mining session**
+Level-wise mining runs through a **mining session**
 (:class:`ShardedSession`, opened with :meth:`ShardedEngine.open_session`):
 each shard keeps a resident pattern store keyed by candidate uid, so a
 level-(k+1) candidate — its parent plus one edge — ships as a small delta
@@ -52,7 +55,6 @@ existing store-miss full-wire resend path.
 from __future__ import annotations
 
 import functools
-import os
 import time
 from collections import OrderedDict
 from typing import Any, Callable, Iterable, Sequence
@@ -62,7 +64,6 @@ from repro.graphs.engine import EmbeddingTask, MatchEngine, resolve_kernel
 from repro.graphs.labeled_graph import LabeledGraph
 from repro.obs.tracer import NULL_TRACER, SpanRecord, Tracer, get_tracer
 from repro.runtime.base import (
-    DelegatingSession,
     LevelRequest,
     MiningRuntime,
     MiningSession,
@@ -71,17 +72,15 @@ from repro.runtime.base import (
 )
 from repro.runtime.bitsets import bits_of, bits_to_buffer, tids_from_buffer, tids_of
 from repro.runtime.faults import FaultPlan, compile_injector, resolve_faults
-from repro.runtime.planner import (
-    BatchSupportPlanner,
-    PlacementPolicy,
-    resolve_placement,
-    wire_cost,
+from repro.runtime.planner import BatchSupportPlanner, PlacementPolicy, wire_cost
+from repro.runtime.pool import (
+    WorkerCorruption,
+    WorkerDeath,
+    WorkerError,
+    make_pool,
+    resolve_worker_timeout,
 )
-from repro.runtime.pool import WorkerCorruption, WorkerDeath, WorkerError, make_pool
 from repro.runtime.wire import BLOB_OP, decode_message, encode_message, resolve_wire
-
-#: Session protocols understood by :class:`ShardedEngine`.
-SESSION_PROTOCOLS = ("delta", "full")
 
 #: Reply-wrapper tag a tracing :class:`ShardWorker` uses to piggyback its
 #: finished span and metric buffers on the normal reply — no extra round
@@ -91,17 +90,13 @@ _OBS_REPLY = "__obs__"
 #: Worker span names that time per-level messages; the parent stamps
 #: these with the mining level when it drains them (other worker spans —
 #: add/release/stats — are level-free and left unstamped).
-_LEVELED_WORKER_SPANS = frozenset({"shard.slevel", "shard.level", "shard.batch"})
+_LEVELED_WORKER_SPANS = frozenset({"shard.slevel", "shard.batch"})
 
 #: Default bound on resident patterns per shard store.  Mining keeps at
 #: most ~two levels' candidates alive (the miner evicts each level as
 #: soon as its consumer level is done), so this is a memory backstop for
 #: adversarial levels, not a tuning knob.
 DEFAULT_STORE_CAPACITY = 1 << 16
-
-#: Environment knobs for the recovery supervisor.
-RECOVERY_RETRIES_ENV = "REPRO_RECOVERY_RETRIES"
-RECOVERY_BACKOFF_ENV = "REPRO_RECOVERY_BACKOFF"
 
 #: Respawn attempts before a dead shard degrades to in-process execution.
 DEFAULT_RECOVERY_RETRIES = 2
@@ -113,23 +108,12 @@ DEFAULT_RECOVERY_BACKOFF = 0.1
 def _blob_envelope_cost(op: str) -> int:
     """Pickled size of a ``(BLOB_OP, op, blob)`` envelope minus the blob.
 
-    Added to each blob's length so buffer-wire accounting covers the
-    whole physical message, not just the payload — keeping the
-    pickle-vs-buffer byte comparison honest.
+    Added to each blob's length so wire accounting covers the whole
+    physical message, not just the payload — the same ruler
+    (:func:`~repro.runtime.planner.wire_cost`) that prices pickled
+    messages.
     """
     return wire_cost((BLOB_OP, op, b""))
-
-
-def _resolve_env_number(value, env: str, default, cast):
-    if value is not None:
-        return cast(value)
-    raw = os.environ.get(env, "").strip()
-    if not raw:
-        return default
-    try:
-        return cast(raw)
-    except ValueError as error:
-        raise ValueError(f"{env}={raw!r} is not a valid number") from error
 
 
 #: Expected reply type per shard op; ops not listed ack with ``None``.
@@ -140,7 +124,6 @@ def _resolve_env_number(value, env: str, default, cast):
 _REPLY_SHAPES: dict[str, type] = {
     "add": list,
     "batch": list,
-    "level": list,
     "stats": dict,
 }
 
@@ -169,14 +152,11 @@ class ShardWorker:
         Batched support for the patterns against local tids (``keys``
         carries precomputed verdict-cache keys); reply with a sorted
         local tid list per pattern.
-    ``("level", wires, tid_lists, keys, uids, parent_uids, extensions, bounds)``
-        Incremental (embedding-store) support for one mining level:
+    ``("slevel", evictions, payloads, uids, parent_uids, extensions, bounds)``
+        One *session* level against the resident pattern store:
         parallel lists per pattern, ``bounds`` being shard-local
         early-abort thresholds.  Anchors stay in this shard's engine —
-        only the small uid/extension tokens ever cross the pipe.  Reply
-        with a sorted local tid list per pattern.
-    ``("slevel", evictions, payloads, uids, parent_uids, extensions, bounds)``
-        One *session* level against the resident pattern store.
+        only the small uid/extension tokens ever cross the pipe.
         ``evictions`` (parent-retired uids, piggybacked here instead of
         costing their own round trip) are applied first — pattern store
         and anchors both.  Each ``payloads[i]`` is a full wire
@@ -193,8 +173,6 @@ class ShardWorker:
     ``("sevict", uids)``
         Retire *uids* from the pattern store *and* the embedding store;
         ack with ``None`` (the session's close-time flush).
-    ``("drop_anchors", uids)``
-        Retire the embedding-store entries of *uids*; ack with ``None``.
     ``("stats",)``
         Reply with the shard engine's counter snapshot merged with this
         worker's session-protocol counters.
@@ -269,7 +247,7 @@ class ShardWorker:
         _, evictions, payloads, uids, parent_uids, extensions, bounds = message
         if evictions:
             # Parent-retired uids: gone from the store *and* the anchor
-            # store, exactly as a drop_anchors broadcast would have done.
+            # store.
             self._store_drop(evictions)
             self.engine.drop_anchors(evictions)
         tasks: list[EmbeddingTask] = []
@@ -358,7 +336,7 @@ class ShardWorker:
         """Cheap size attributes for the per-message worker span."""
         if op == "slevel":
             return {"patterns": len(message[2]), "evictions": len(message[1])}
-        if op in ("level", "batch", "add"):
+        if op in ("batch", "add"):
             return {"patterns": len(message[1])}
         return {}
 
@@ -366,7 +344,8 @@ class ShardWorker:
         if message[0] == BLOB_OP:
             # Flat-buffer envelope: rehydrate the logical message before
             # any hook runs, so fault op/level filters, span names, and
-            # reply shapes all see the same ops as the pickle wire.
+            # reply shapes see the logical op whether or not it was
+            # flat-encoded.
             message = decode_message(message[2])
         tracer = self.tracer
         op = message[0]
@@ -425,31 +404,10 @@ class ShardWorker:
             self.counters["patterns_shipped_full"] += len(patterns)
             supports = self.engine.batch_support(patterns, message[2], message[3])
             return [sorted(tids) for tids in supports]
-        if op == "level":
-            _, wires, tid_lists, keys, uids, parent_uids, extensions, bounds = message
-            self.counters["patterns_shipped_full"] += len(wires)
-            tasks = [
-                EmbeddingTask(
-                    pattern=CompactGraph.from_wire(wire, self.table),
-                    tids=tids,
-                    key=key,
-                    uid=uid,
-                    parent_uid=parent_uid,
-                    extension=extension,
-                    abort_below=bound,
-                )
-                for wire, tids, key, uid, parent_uid, extension, bound in zip(
-                    wires, tid_lists, keys, uids, parent_uids, extensions, bounds
-                )
-            ]
-            return self.engine.support_with_embeddings(tasks)
         if op == "slevel":
             return self._session_level(message)
         if op == "sevict":
             self._store_drop(message[1])
-            self.engine.drop_anchors(message[1])
-            return None
-        if op == "drop_anchors":
             self.engine.drop_anchors(message[1])
             return None
         if op == "stats":
@@ -460,6 +418,12 @@ class ShardWorker:
 class ShardedEngine(MiningRuntime):
     """K-shard mining runtime with batched per-level evaluation.
 
+    The engine runs one configuration: weighted tid placement, the
+    flat-buffer wire, and stateful :class:`ShardedSession` levels
+    (resident shard stores, delta shipping, piggybacked evictions).
+    Every argument is validated before any worker starts, so a bad
+    setting never leaves a process behind.
+
     Parameters
     ----------
     shards:
@@ -469,15 +433,10 @@ class ShardedEngine(MiningRuntime):
         ``"process"`` (default, real parallelism via ``multiprocessing``)
         or ``"serial"`` (same code path inline — determinism / debugging).
         ``None`` consults ``REPRO_BACKEND``.
-    session_protocol:
-        ``"delta"`` (default) gives :meth:`open_session` callers the
-        stateful :class:`ShardedSession` — resident shard stores, delta
-        shipping, piggybacked evictions.  ``"full"`` falls back to a
-        stateless :class:`~repro.runtime.base.DelegatingSession` over
-        :meth:`batch_support_level` (every level re-ships every pattern
-        in full — the pre-session wire protocol, kept as the benchmark
-        baseline and an A/B escape hatch).  Mining output is identical
-        either way.
+    session_protocol, wire, placement:
+        Accepted for callers that name the configuration explicitly;
+        each admits only its one value (``"delta"``, ``"buffer"``,
+        ``"weighted"``) and raises ``ValueError`` otherwise.
     session_store_capacity:
         Bound on resident patterns per shard store; overflowing entries
         are evicted oldest-first and resent in full on a later miss.
@@ -491,27 +450,9 @@ class ShardedEngine(MiningRuntime):
         consults ``REPRO_WORKER_TIMEOUT``, defaulting to
         :data:`~repro.runtime.pool.DEFAULT_WORKER_TIMEOUT`; ≤0 disables).
         The serial backend detects deaths synchronously and ignores this.
-    recovery_retries:
-        Respawn attempts per failure before the shard degrades to
-        in-process execution (``None`` consults
-        ``REPRO_RECOVERY_RETRIES``, default 2).
     recovery_backoff:
-        Base seconds of the exponential backoff between respawn attempts
-        (``None`` consults ``REPRO_RECOVERY_BACKOFF``, default 0.1).
-    wire:
-        Wire format for shard messages (``None`` consults ``REPRO_WIRE``,
-        default ``"buffer"``).  ``"buffer"`` encodes the data-plane
-        messages as flat buffers — varint-packed graphs, delta-coded tid
-        lists — which the process backend may further ship through
-        shared memory; ``"pickle"`` sends the logical tuples as-is and
-        is kept as the differential oracle.  Workers rehydrate blobs
-        before any fault/trace hook runs, so mining output, fault
-        filtering, and telemetry semantics are identical under both.
-    placement:
-        Tid placement policy (``None`` consults ``REPRO_PLACEMENT``,
-        default ``"weighted"``): support-weighted least-loaded placement
-        by transaction edge count, or ``"roundrobin"`` for the legacy
-        static layout (the A/B baseline for the skew benchmarks).
+        Base seconds of the exponential backoff between the
+        :data:`DEFAULT_RECOVERY_RETRIES` respawn attempts.
     """
 
     def __init__(
@@ -523,37 +464,36 @@ class ShardedEngine(MiningRuntime):
         kernel: str | None = None,
         faults: "FaultPlan | str | None" = None,
         worker_timeout: float | None = None,
-        recovery_retries: int | None = None,
-        recovery_backoff: float | None = None,
-        wire: str | None = None,
-        placement: str | None = None,
+        recovery_backoff: float = DEFAULT_RECOVERY_BACKOFF,
+        wire: str = "buffer",
+        placement: str = "weighted",
     ) -> None:
         if shards < 1:
             raise ValueError(f"need at least one shard, got {shards}")
-        if session_protocol not in SESSION_PROTOCOLS:
+        if session_protocol != "delta":
+            raise ValueError(f"session_protocol must be 'delta', got {session_protocol!r}")
+        if placement != "weighted":
+            raise ValueError(f"placement must be 'weighted', got {placement!r}")
+        if session_store_capacity < 1:
             raise ValueError(
-                f"session_protocol must be one of {SESSION_PROTOCOLS}, "
-                f"got {session_protocol!r}"
+                f"session_store_capacity must be at least 1, got {session_store_capacity}"
             )
+        resolve_wire(wire)
+        # Raises on a malformed REPRO_WORKER_TIMEOUT; the pool resolves
+        # the same value again when it starts.
+        resolve_worker_timeout(worker_timeout)
         self.n_shards = shards
         self.backend = resolve_backend(backend)
-        self.session_protocol = session_protocol
         #: Match-kernel backend of every shard engine; resolved here
         #: (env fallback included) so process workers inherit the
         #: parent's choice rather than re-reading their own environment.
         self.kernel = resolve_kernel(kernel)
-        #: Wire format for shard messages: ``"buffer"`` (default) encodes
-        #: data-plane messages as flat buffers (see
-        #: :mod:`repro.runtime.wire`), ``"pickle"`` ships the logical
-        #: tuples directly — the differential oracle.  Resolved here
-        #: (``$REPRO_WIRE`` fallback included) for the same reason as
-        #: the kernel knob.
-        self.wire = resolve_wire(wire)
+        self.faults = resolve_faults(faults)
+        self._recovery_backoff = float(recovery_backoff)
         self.table = LabelTable()
         self.planner = BatchSupportPlanner(shards)
-        self._placement = PlacementPolicy(shards, resolve_placement(placement))
+        self._placement = PlacementPolicy(shards)
         self._wire_bytes = 0
-        self._level_patterns_posted = 0
         self._last_level_scan_units: list[int] = []
         self._pool = make_pool(
             self.backend,
@@ -578,13 +518,6 @@ class ShardedEngine(MiningRuntime):
         #: ``_shard_released`` the acknowledged released local tids —
         #: together they are exactly the state a fresh worker needs to
         #: become an indistinguishable replica.
-        self.faults = resolve_faults(faults)
-        self._recovery_retries = _resolve_env_number(
-            recovery_retries, RECOVERY_RETRIES_ENV, DEFAULT_RECOVERY_RETRIES, int
-        )
-        self._recovery_backoff = _resolve_env_number(
-            recovery_backoff, RECOVERY_BACKOFF_ENV, DEFAULT_RECOVERY_BACKOFF, float
-        )
         self.recovery = {
             "worker_restarts": 0,
             "level_replays": 0,
@@ -788,7 +721,7 @@ class ShardedEngine(MiningRuntime):
         attempt = 0
         degraded = False
         while True:
-            if attempt < self._recovery_retries:
+            if attempt < DEFAULT_RECOVERY_RETRIES:
                 if attempt:
                     time.sleep(self._recovery_backoff * (2 ** (attempt - 1)))
                 self._pool.respawn(shard)
@@ -812,7 +745,7 @@ class ShardedEngine(MiningRuntime):
                     raise next_death
                 continue
             break
-        if op in ("slevel", "level", "batch"):
+        if op in ("slevel", "batch"):
             self.recovery["level_replays"] += 1
             tracer.metrics.counter("level_replays", shard=str(shard))
         elapsed = time.perf_counter() - started
@@ -846,9 +779,9 @@ class ShardedEngine(MiningRuntime):
         """Measured bytes of every message posted to the shards so far.
 
         Accounted at post time with one ruler across pool backends: the
-        flat-buffer blob length under ``wire="buffer"``, the measured
-        pickle length (:func:`~repro.runtime.planner.wire_cost`)
-        otherwise.
+        flat-buffer blob length plus its envelope, or the measured pickle
+        length (:func:`~repro.runtime.planner.wire_cost`) for a message
+        the codec does not cover.
         """
         return self._wire_bytes
 
@@ -856,7 +789,7 @@ class ShardedEngine(MiningRuntime):
     def placement_loads(self) -> list[int]:
         """Cumulative placed scan weight per shard (placement balance).
 
-        The running totals the weighted placement policy levels —
+        The running totals the placement policy levels —
         sessions surface their max/min as the ``placement_weight_max`` /
         ``placement_weight_min`` telemetry, making every rebalancing
         decision's outcome visible in the per-level record.
@@ -871,17 +804,6 @@ class ShardedEngine(MiningRuntime):
         engines on the pure-python kernel ever probe the verdict LRU.
         """
         return self.kernel == "python"
-
-    @property
-    def level_patterns_posted(self) -> int:
-        """Full pattern wires posted by :meth:`batch_support_level`.
-
-        One count per ``(request, shard)`` pair — the ruler the session
-        telemetry's ``patterns_full`` uses, letting a stateless
-        :class:`DelegatingSession` over this runtime report shipments
-        comparably to the stateful session.
-        """
-        return self._level_patterns_posted
 
     @property
     def last_level_scan_units(self) -> list[int]:
@@ -902,22 +824,20 @@ class ShardedEngine(MiningRuntime):
     def _post(self, shard: int, message: tuple) -> None:
         """Send *message* to *shard*, accounting its wire cost.
 
-        Under the ``buffer`` wire format the logical message is encoded
-        as a flat blob here, at the last hop before the pool — replay
-        and rebuild paths store and re-post *logical* messages, so a
-        replayed level is re-encoded identically.  Messages the codec
-        does not cover (control ops, exotic values) fall through to the
-        pickle wire; either way the accounted bytes are what the
-        process backend's transport would actually carry.
+        The logical message is encoded as a flat blob here, at the last
+        hop before the pool — replay and rebuild paths store and re-post
+        *logical* messages, so a replayed level is re-encoded
+        identically.  Messages the codec does not cover (control ops,
+        exotic values) are pickled instead; either way the accounted
+        bytes are what the process backend's transport actually carries.
         """
-        if self.wire == "buffer":
-            blob = encode_message(message)
-            if blob is not None:
-                self._wire_bytes += len(blob) + _blob_envelope_cost(message[0])
-                self._pool.send(shard, (BLOB_OP, message[0], blob))
-                return
-        self._wire_bytes += wire_cost(message)
-        self._pool.send(shard, message)
+        blob = encode_message(message)
+        if blob is None:
+            self._wire_bytes += wire_cost(message)
+            self._pool.send(shard, message)
+            return
+        self._wire_bytes += len(blob) + _blob_envelope_cost(message[0])
+        self._pool.send(shard, (BLOB_OP, message[0], blob))
 
     def _send_sync(self, shard: int) -> bool:
         """Send the replica's missing label delta; True if a reply is due."""
@@ -1008,7 +928,7 @@ class ShardedEngine(MiningRuntime):
             # Deterministic support-weighted placement: the edge count is
             # the level-1 scan cost a shard pays for hosting the
             # transaction, so levelling it attacks the shard_scan skew
-            # that size-skewed corpora showed under static round-robin.
+            # that size-skewed corpora show under arrival-order placement.
             shard = self._placement.place(compact.n_edges)
             wires[shard].append(compact.to_wire())
             globals_[shard].append(tid)
@@ -1105,55 +1025,9 @@ class ShardedEngine(MiningRuntime):
         ]
         return self.planner.merge(len(patterns), batches, results, self.to_global)
 
-    def batch_support_level(
-        self,
-        requests: Sequence[LevelRequest],
-        min_support: int | None = None,
-    ) -> list[int]:
-        batches = self.planner.plan_level(requests, self.table, self.locate, min_support)
-        self._last_level_scan_units = [batch.scan_tids for batch in batches]
-        self._level_patterns_posted += sum(len(batch.wires) for batch in batches)
-        pending = self._scatter(
-            [
-                (
-                    batch.shard,
-                    (
-                        "level",
-                        batch.wires,
-                        batch.tid_lists,
-                        batch.keys,
-                        batch.uids,
-                        batch.parent_uids,
-                        batch.extensions,
-                        batch.abort_bounds,
-                    ),
-                )
-                for batch in batches
-                if not batch.is_empty()
-            ]
-        )
-        replies = self._gather(pending)
-        results: list[Sequence[Sequence[int]] | None] = [
-            replies.get(shard) for shard in range(self.n_shards)
-        ]
-        return self.planner.merge_level(len(requests), batches, results, self.to_global)
-
     def open_session(self) -> MiningSession:
-        """A mining session under the configured ``session_protocol``."""
-        if self.session_protocol == "delta":
-            return ShardedSession(self)
-        return DelegatingSession(self)
-
-    def drop_anchors(self, uids) -> None:
-        # Anchors are shard-local, so every shard is told to retire the
-        # level; a shard that never stored a uid treats it as a no-op.
-        uid_list = list(uids)
-        if not uid_list:
-            return
-        pending = self._scatter(
-            [(shard, ("drop_anchors", uid_list)) for shard in range(self.n_shards)]
-        )
-        self._gather(pending)
+        """A stateful :class:`ShardedSession` over this engine."""
+        return ShardedSession(self)
 
     def stats(self) -> dict[str, int]:
         pending = self._scatter(

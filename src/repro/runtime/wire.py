@@ -2,10 +2,10 @@
 
 The sharded runtime's messages — transaction registration, per-level
 support batches, session deltas — are plain tuples of graph wires, tid
-lists, and bitset buffers.  The default transport pickles them, which is
-correct but pays per-object tag-and-memo overhead on exactly the values
-that dominate a mining run: thousands of tiny graph wires and sorted tid
-lists.  This module encodes those messages as contiguous byte buffers
+lists, and bitset buffers.  Pickling them is correct but pays per-object
+tag-and-memo overhead on exactly the values that dominate a mining run:
+thousands of tiny graph wires and sorted tid lists.  This module encodes
+those messages as contiguous byte buffers
 with a small versioned header: varint-packed integers, delta-coded tid
 lists, sequence-compressed vertex ids, and the packed bitset buffers of
 :mod:`repro.runtime.bitsets` carried verbatim (they are already flat).
@@ -14,11 +14,11 @@ Design rules:
 
 * **Lossless by construction.**  ``decode_message(encode_message(m))``
   returns a tuple *equal* to ``m`` — same nesting, same list/tuple
-  distinction, same ints — so the shard worker's behaviour is identical
-  under either wire format and golden digests cannot drift.
+  distinction, same ints — so the shard worker sees exactly the logical
+  message the parent built and golden digests cannot drift.
 * **Fallback at message granularity.**  ``encode_message`` returns
-  ``None`` for any op or value it does not cover; the caller ships that
-  one message over the pickle wire instead.  New ops degrade gracefully.
+  ``None`` for any op or value it does not cover; the caller pickles
+  that one message instead.  Control ops and new ops degrade gracefully.
 * **No repro imports.**  The codec works on the wire *tuples*, never on
   live objects, so it can be imported from the worker process entry
   point without dragging the engine in.
@@ -33,14 +33,11 @@ for the segment lifecycle.
 
 from __future__ import annotations
 
-import os
 import struct
 
 __all__ = [
     "BLOB_OP",
     "SHM_OP",
-    "WIRES",
-    "WIRE_ENV",
     "resolve_wire",
     "encode_message",
     "decode_message",
@@ -55,12 +52,6 @@ BLOB_OP = "__blob__"
 #: Shared-memory envelope op: ``(SHM_OP, inner_op, segment_name, size)``.
 SHM_OP = "__shm__"
 
-#: Recognised wire formats, first is the default.
-WIRES = ("buffer", "pickle")
-
-#: Environment fallback consulted when no explicit wire format is given.
-WIRE_ENV = "REPRO_WIRE"
-
 _MAGIC = b"RW"
 _VERSION = 1
 
@@ -69,14 +60,14 @@ class WireFormatError(ValueError):
     """A buffer failed structural validation during decode."""
 
 
-def resolve_wire(wire: str | None) -> str:
-    """Resolve the wire format: explicit value, else ``$REPRO_WIRE``,
-    else ``"buffer"``.  Raises ``ValueError`` on unknown formats so a
-    typo in the knob fails loudly instead of silently pickling."""
-    if wire is None:
-        wire = os.environ.get(WIRE_ENV) or WIRES[0]
-    if wire not in WIRES:
-        raise ValueError(f"unknown wire format {wire!r}; expected one of {WIRES}")
+def resolve_wire(wire: str = "buffer") -> str:
+    """Validate a ``wire`` setting: ``"buffer"`` is the only wire format.
+
+    Callers that name the format explicitly keep working; anything else
+    raises ``ValueError`` naming the parameter.
+    """
+    if wire != "buffer":
+        raise ValueError(f"wire must be 'buffer', got {wire!r}")
     return wire
 
 
@@ -635,10 +626,8 @@ _OP_CODES = {
     "add": 2,
     "release": 3,
     "batch": 4,
-    "level": 5,
     "slevel": 6,
     "sevict": 7,
-    "drop_anchors": 8,
 }
 _OP_NAMES = {code: name for name, code in _OP_CODES.items()}
 
@@ -654,7 +643,7 @@ def _encode_body(out: bytearray, message: tuple) -> None:
     elif op == "release":
         (_, tids) = message
         _write_tid_list(out, tids)
-    elif op in ("sevict", "drop_anchors"):
+    elif op == "sevict":
         (_, items) = message
         _write_values(out, items)
     elif op == "batch":
@@ -662,12 +651,6 @@ def _encode_body(out: bytearray, message: tuple) -> None:
         _write_wires(out, wires)
         _write_tid_lists(out, tid_lists)
         _write_values(out, keys)
-    elif op == "level":
-        (_, wires, tid_lists, keys, uids, parent_uids, extensions, bounds) = message
-        _write_wires(out, wires)
-        _write_tid_lists(out, tid_lists)
-        for column in (keys, uids, parent_uids, extensions, bounds):
-            _write_values(out, column)
     elif op == "slevel":
         (_, evictions, payloads, uids, parent_uids, extensions, bounds) = message
         _write_values(out, evictions)
@@ -683,8 +666,8 @@ def encode_message(message: tuple) -> bytes | None:
 
     Returns ``None`` when the message's op is not in the registry or any
     value falls outside the codec's type universe — the caller must then
-    ship the original message over the pickle wire.  Column lists must
-    match the op's arity; a mismatched message also returns ``None``.
+    pickle the original message.  Column lists must match the op's
+    arity; a mismatched message also returns ``None``.
     """
     if type(message) is not tuple or not message:
         return None
@@ -722,22 +705,14 @@ def decode_message(buffer: bytes) -> tuple:
     elif op == "release":
         tids, pos = _read_tid_list(buffer, pos)
         message = ("release", tids)
-    elif op in ("sevict", "drop_anchors"):
+    elif op == "sevict":
         items, pos = _read_values(buffer, pos)
-        message = (op, items)
+        message = ("sevict", items)
     elif op == "batch":
         wires, pos = _read_wires(buffer, pos)
         tid_lists, pos = _read_tid_lists(buffer, pos)
         keys, pos = _read_values(buffer, pos)
         message = ("batch", wires, tid_lists, keys)
-    elif op == "level":
-        wires, pos = _read_wires(buffer, pos)
-        tid_lists, pos = _read_tid_lists(buffer, pos)
-        columns = []
-        for _ in range(5):
-            column, pos = _read_values(buffer, pos)
-            columns.append(column)
-        message = ("level", wires, tid_lists, *columns)
     else:  # slevel
         evictions, pos = _read_values(buffer, pos)
         payloads, pos = _read_payloads(buffer, pos)

@@ -26,7 +26,8 @@ the shapes that have historically broken graph miners:
   through schema cleaning and attribute binning *before* graph
   construction, so the digest covers the whole ingest pipeline;
 * ``stress-powerlaw`` — power-law transaction sizes and label skew, so
-  round-robin shard placement produces visibly unbalanced scan work;
+  per-shard scan work is visibly unbalanced unless placement weighs
+  transactions by size;
 * ``stress-nearclique`` — uniform near-cliques whose symmetry defeats
   canonicalisation, forcing the invariant fallback on the digest path;
 * ``stress-windows`` — overlapping temporal windows (stride < window)
@@ -273,8 +274,8 @@ def _build_messy_mobility(seed: int) -> ScenarioData:
 def _build_stress_powerlaw(seed: int) -> ScenarioData:
     """Power-law transaction sizes over a skewed label alphabet.
 
-    A handful of giant transactions and a long tail of tiny ones: under
-    round-robin shard placement the giants land on whichever shards their
+    A handful of giant transactions and a long tail of tiny ones: placed
+    by arrival order alone, the giants land on whichever shards their
     tids hit, so per-shard scan workloads diverge — the shape the
     ``shard_scan_max`` / ``shard_scan_min`` telemetry exists to expose.
     """

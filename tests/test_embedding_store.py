@@ -285,11 +285,12 @@ class TestRuntimeLevelAPI:
         def level_bits(runtime):
             tids = runtime.add_transactions(corpus)
             bits = bits_of(tids)
+            session = runtime.open_session()
             try:
-                (parent_bits,) = runtime.batch_support_level(
+                (parent_bits,) = session.support_level(
                     [LevelRequest(pattern=parent, tid_bits=bits, uid=("r", 0))]
                 )
-                (child_bits,) = runtime.batch_support_level(
+                (child_bits,) = session.support_level(
                     [
                         LevelRequest(
                             pattern=child,
@@ -301,6 +302,7 @@ class TestRuntimeLevelAPI:
                     ]
                 )
             finally:
+                session.close()
                 runtime.release_transactions(tids)
             return parent_bits, child_bits
 

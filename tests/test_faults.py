@@ -351,7 +351,7 @@ class TestRecoveryEquivalence:
             runtime.close()
         assert mining_signature(mined) == reference
 
-    @pytest.mark.parametrize("protocol", ["delta", "full"])
+    @pytest.mark.parametrize("protocol", ["delta"])
     def test_process_backend_sigkill_mid_level(self, baseline, protocol):
         corpus, reference = baseline
         mined, stats = mine_sharded(

@@ -9,6 +9,7 @@ round-trips and the knob plumbing the runtime rides on.
 
 from __future__ import annotations
 
+import multiprocessing
 import pickle
 import random
 
@@ -275,15 +276,31 @@ class TestShardedEngine:
         assert [batch.is_empty() for batch in batches] == [True, False, True]
         assert batches[1].tid_lists == [[4, 7]]
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"faults": "bogus:shard=1"},
+            {"worker_timeout": "soon"},
+            {"session_store_capacity": 0},
+            {"session_protocol": "full"},
+            {"wire": "pickle"},
+            {"placement": "roundrobin"},
+        ],
+        ids=lambda bad: next(iter(bad)),
+    )
+    def test_invalid_arguments_start_no_workers(self, bad):
+        before = set(multiprocessing.active_children())
+        with pytest.raises(ValueError) as failure:
+            ShardedEngine(shards=2, backend="process", **bad)
+        # The held traceback keeps the failed constructor's frame alive,
+        # so any worker it had started would still be running here.
+        assert failure.traceback
+        assert set(multiprocessing.active_children()) <= before
+
     def test_round_robin_placement_legacy_policy(self):
-        corpus = random_corpus(23, size=6)
-        runtime = ShardedEngine(shards=3, backend="serial", placement="roundrobin")
-        try:
-            tids = runtime.add_transactions(corpus)
-            shards = [runtime.locate(tid)[0] for tid in tids]
-        finally:
-            runtime.close()
-        assert shards == [0, 1, 2, 0, 1, 2]
+        # Weighted placement is the only policy.
+        with pytest.raises(ValueError, match="placement"):
+            ShardedEngine(shards=3, backend="serial", placement="roundrobin")
 
     def test_weighted_placement_levels_edge_load(self):
         # Weighted placement assigns each arrival to the lightest shard
@@ -307,7 +324,7 @@ class TestShardedEngine:
     def test_weighted_placement_degenerates_to_round_robin_on_uniform(self):
         from repro.runtime.planner import PlacementPolicy
 
-        policy = PlacementPolicy(3, "weighted")
+        policy = PlacementPolicy(3)
         shards = [policy.place(5) for _ in range(6)]
         assert shards == [0, 1, 2, 0, 1, 2]
 

@@ -5,7 +5,7 @@ The load-bearing properties, in order:
 * **equivalence** — mining through a stateful session (delta-shipped
   levels, shard-resident pattern stores, piggybacked evictions) produces
   exactly the serial runtime's output, whatever the shard count, backend,
-  store capacity, or protocol;
+  or store capacity;
 * **scatter/gather** — per-level dispatch sends to every shard before
   receiving from any, and a worker failing mid-level surfaces as a
   :class:`WorkerError` (remote traceback attached) on both backends while
@@ -116,22 +116,31 @@ class TestSessionEquivalence:
         assert mining_signature(mined) == mining_signature(baseline)
 
     @chaos_exempt
-    def test_full_protocol_matches_but_ships_more(self):
+    def test_delta_session_ships_every_planned_pair_once(self):
+        # Every (request, shard) pair the planner routes ships exactly
+        # once, in full or as a delta, and every delta the parent sends
+        # is one the shards report rebuilding from a stored parent.
         corpus = random_corpus(43, size=20)
-        results = {}
-        wire = {}
-        for protocol in ("delta", "full"):
-            runtime = ShardedEngine(
-                shards=2, backend="serial", session_protocol=protocol
-            )
-            try:
-                mined = FSGMiner(min_support=3, max_edges=3, runtime=runtime).mine(corpus)
-            finally:
-                runtime.close()
-            results[protocol] = mining_signature(mined)
-            wire[protocol] = mined.session_totals()["wire_bytes"]
-        assert results["delta"] == results["full"]
-        assert 0 < wire["delta"] < wire["full"]
+        baseline = FSGMiner(min_support=3, max_edges=3).mine(corpus)
+        runtime = ShardedEngine(shards=2, backend="serial")
+        planned = 0
+        plan = runtime.planner.plan_session_level
+
+        def counting_plan(*args, **kwargs):
+            nonlocal planned
+            batches = plan(*args, **kwargs)
+            planned += sum(len(batch.positions) for batch in batches)
+            return batches
+
+        runtime.planner.plan_session_level = counting_plan
+        try:
+            mined = FSGMiner(min_support=3, max_edges=3, runtime=runtime).mine(corpus)
+        finally:
+            runtime.close()
+        totals = mined.session_totals()
+        assert mining_signature(mined) == mining_signature(baseline)
+        assert totals["patterns_delta"] == totals["store_hits"] > 0
+        assert totals["patterns_full"] + totals["patterns_delta"] == planned
 
     @pytest.mark.slow
     def test_process_backend_delta_matches_serial(self):
@@ -310,9 +319,17 @@ class TestSessionProtocol:
         runtime.close()
 
     def test_full_protocol_opens_delegating_session(self):
-        runtime = ShardedEngine(shards=2, backend="serial", session_protocol="full")
+        # The full-wire protocol is gone: asking for it is rejected, and
+        # a sharded engine always opens a stateful ShardedSession, never
+        # the stateless DelegatingSession.
+        with pytest.raises(ValueError, match="session_protocol"):
+            ShardedEngine(shards=2, backend="serial", session_protocol="full")
+        runtime = ShardedEngine(shards=2, backend="serial")
         try:
-            assert isinstance(runtime.open_session(), DelegatingSession)
+            session = runtime.open_session()
+            assert isinstance(session, ShardedSession)
+            assert not isinstance(session, DelegatingSession)
+            session.close()
         finally:
             runtime.close()
 
@@ -369,8 +386,7 @@ class TestScatterGather:
             LevelRequest(pattern=edge_pattern(), tid_bits=bits_of(tids[:2])),
         ]
 
-    @pytest.mark.parametrize("drive", ["batch_support_level", "session"])
-    def test_all_sends_precede_any_recv(self, drive):
+    def test_all_sends_precede_any_recv(self):
         corpus = random_corpus(89, size=8)
         runtime = ShardedEngine(shards=2, backend="serial")
         session = None
@@ -378,14 +394,9 @@ class TestScatterGather:
             tids = runtime.add_transactions(corpus)
             recorder = _RecordingPool(runtime._pool)
             runtime._pool = recorder
-            if drive == "session":
-                session = runtime.open_session()
+            session = runtime.open_session()
             recorder.events.clear()
-            requests = self._spanning_requests(runtime, tids)
-            if drive == "batch_support_level":
-                runtime.batch_support_level(requests)
-            else:
-                session.support_level(requests)
+            supports = session.support_level(self._spanning_requests(runtime, tids))
             events = list(recorder.events)
             sends = [i for i, (kind, _) in enumerate(events) if kind == "send"]
             recvs = [i for i, (kind, _) in enumerate(events) if kind == "recv"]
@@ -395,6 +406,12 @@ class TestScatterGather:
             assert {worker for kind, worker in events if kind == "send"} == {0, 1}
             assert sends and recvs
             assert max(sends) < min(recvs), f"a recv overtook the scatter phase: {events}"
+            serial = SerialRuntime()
+            serial_tids = serial.add_transactions(corpus)
+            with serial.open_session() as reference:
+                assert supports == reference.support_level(
+                    self._spanning_requests(serial, serial_tids)
+                )
         finally:
             if session is not None:
                 session.close()

@@ -3,8 +3,9 @@
 The wire is a pure transport optimisation, so the load-bearing property
 is *losslessness*: ``decode_message(encode_message(m)) == m`` for every
 message the sharded runtime ships, with types preserved exactly (a
-``True`` must not come back as ``1``), and mining output must be
-byte-identical whichever wire or transport carries the messages.  The
+``True`` must not come back as ``1``), and sharded mining output must be
+identical to the serial runtime's whichever transport carries the
+messages.  The
 shared-memory transport adds a lifecycle property: whatever happens to a
 worker — clean reply, SIGKILL mid-level, close with messages in flight —
 no ``/dev/shm`` segment may outlive the pool.
@@ -26,22 +27,19 @@ from repro.graphs.labeled_graph import LabeledGraph
 from repro.mining.fsg.miner import FSGMiner
 from repro.runtime import (
     BLOB_OP,
+    PlacementPolicy,
     ShardedEngine,
-    WIRE_ENV,
-    WIRES,
     decode_message,
     encode_message,
-    resolve_placement,
     resolve_wire,
+    wire_cost,
 )
-from repro.runtime.planner import PLACEMENT_ENV, PlacementPolicy
 from repro.runtime.pool import ProcessBackend, resolve_shm_threshold
 from repro.runtime.wire import (
     WireFormatError,
     decode_graph_wire,
     encode_graph_wire,
 )
-from repro.scenarios import differential_check, get_scenario
 
 
 # ----------------------------------------------------------------------
@@ -78,14 +76,33 @@ def mining_signature(result):
     )
 
 
-def mine_with(corpus, *, wire, shards=2, backend="serial"):
-    runtime = ShardedEngine(shards=shards, backend=backend, wire=wire)
+def serial_signature(corpus):
+    return mining_signature(FSGMiner(min_support=2, max_edges=3).mine(corpus))
+
+
+def mine_with(corpus, *, shards=2, backend="serial"):
+    """Mine on a sharded runtime: (signature, bytes shipped, pickle bytes).
+
+    Every logical message the engine posts is also priced with
+    :func:`wire_cost` — what pickling it would have shipped — so the
+    flat-buffer byte count can be checked against the pickle baseline.
+    """
+    runtime = ShardedEngine(shards=shards, backend=backend)
+    pickled = 0
+    post = runtime._post
+
+    def priced_post(shard, message):
+        nonlocal pickled
+        pickled += wire_cost(message)
+        post(shard, message)
+
+    runtime._post = priced_post
     try:
         mined = FSGMiner(min_support=2, max_edges=3, runtime=runtime).mine(corpus)
         shipped = runtime.wire_bytes_shipped
     finally:
         runtime.close()
-    return mining_signature(mined), shipped
+    return mining_signature(mined), shipped, pickled
 
 
 def own_shm_residue() -> list[str]:
@@ -97,27 +114,32 @@ def own_shm_residue() -> list[str]:
 # Knob resolution
 # ----------------------------------------------------------------------
 class TestKnobResolution:
-    def test_resolve_wire_default_and_env(self, monkeypatch):
-        monkeypatch.delenv(WIRE_ENV, raising=False)
-        assert resolve_wire(None) == "buffer"  # buffer is the default wire
-        monkeypatch.setenv(WIRE_ENV, "pickle")
-        assert resolve_wire(None) == "pickle"
-        assert resolve_wire("buffer") == "buffer"  # explicit beats env
-        with pytest.raises(ValueError):
-            resolve_wire("msgpack")
-        monkeypatch.setenv(WIRE_ENV, "bogus")
-        with pytest.raises(ValueError):
-            resolve_wire(None)
-        assert WIRES[0] == "buffer"
+    def test_resolve_wire_default_and_env(self):
+        # "buffer" is the default and only wire; None is rejected too,
+        # since there is no environment fallback.
+        assert resolve_wire() == "buffer"
+        assert resolve_wire("buffer") == "buffer"
+        for other in ("pickle", "msgpack", None):
+            with pytest.raises(ValueError, match="wire"):
+                resolve_wire(other)
+            with pytest.raises(ValueError, match="wire"):
+                ShardedEngine(shards=2, backend="serial", wire=other)
 
-    def test_resolve_placement_default_and_env(self, monkeypatch):
-        monkeypatch.delenv(PLACEMENT_ENV, raising=False)
-        assert resolve_placement(None) == "weighted"
-        monkeypatch.setenv(PLACEMENT_ENV, "roundrobin")
-        assert resolve_placement(None) == "roundrobin"
-        with pytest.raises(ValueError):
-            resolve_placement("hash")
-        assert PlacementPolicy.POLICIES[0] == "weighted"
+    def test_resolve_placement_default_and_env(self):
+        # Weighted placement is the default and only policy; None is
+        # rejected too, since there is no environment fallback.
+        corpus = random_corpus(5, size=6)
+        policy = PlacementPolicy(3)
+        expected = [policy.place(graph.n_edges) for graph in corpus]
+        runtime = ShardedEngine(shards=3, backend="serial")
+        try:
+            tids = runtime.add_transactions(corpus)
+            assert [runtime.locate(tid)[0] for tid in tids] == expected
+        finally:
+            runtime.close()
+        for other in ("roundrobin", "hash", None):
+            with pytest.raises(ValueError, match="placement"):
+                ShardedEngine(shards=3, backend="serial", placement=other)
 
     def test_resolve_shm_threshold(self, monkeypatch):
         monkeypatch.delenv("REPRO_SHM_THRESHOLD", raising=False)
@@ -226,6 +248,8 @@ class TestMessageCodec:
         assert type(decoded[3]) is list
 
     def test_level_message_round_trips(self):
+        # The retired "level" op has no codec; the engine still posts
+        # such a message losslessly, pickled and priced at wire_cost.
         wires = [("g0", (0,), [], ("v0",)), ("g1", (1, 2), [(0, 1, 0)], ("v0", "v1"))]
         tid_lists = [[1, 5, 9], []]
         message = (
@@ -238,7 +262,18 @@ class TestMessageCodec:
             [None, (0, 2, True)],
             [4, None],
         )
-        assert decode_message(encode_message(message)) == message
+        assert encode_message(message) is None
+        runtime = ShardedEngine(shards=2, backend="serial")
+        sent = []
+        try:
+            runtime._pool.send = lambda shard, shipped: sent.append((shard, shipped))
+            before = runtime.wire_bytes_shipped
+            runtime._post(1, message)
+            assert sent == [(1, message)]
+            assert runtime.wire_bytes_shipped - before == wire_cost(message)
+        finally:
+            del runtime._pool.send
+            runtime.close()
 
     def test_interned_columns_preserve_types(self):
         # 1 == True == 1.0 hash-equal; the interner must not conflate
@@ -257,6 +292,8 @@ class TestMessageCodec:
 
     def test_encode_falls_back_to_none(self):
         assert encode_message(("unknown_op", [1])) is None
+        # Ops the engine does not send have no codec.
+        assert encode_message(("drop_anchors", [(3, 0)])) is None
         assert encode_message("not a tuple") is None
         assert encode_message(()) is None
         assert encode_message(("release", [3, 1, 2])) is None  # unsorted
@@ -278,38 +315,25 @@ class TestMessageCodec:
 
 
 # ----------------------------------------------------------------------
-# Wire-differential mining equality
+# Sharded mining equality and bytes against the pickle baseline
 # ----------------------------------------------------------------------
 class TestMiningEquality:
-    def test_buffer_matches_pickle_serial(self):
+    def test_buffer_matches_serial_runtime(self):
         corpus = random_corpus(41)
-        buffer_sig, buffer_bytes = mine_with(corpus, wire="buffer")
-        pickle_sig, pickle_bytes = mine_with(corpus, wire="pickle")
-        assert buffer_sig == pickle_sig
+        buffer_sig, buffer_bytes, pickle_bytes = mine_with(corpus)
+        assert buffer_sig == serial_signature(corpus)
         assert 0 < buffer_bytes < pickle_bytes
 
     @pytest.mark.slow
     @pytest.mark.parametrize("shards", [2, 3])
     @pytest.mark.parametrize("backend", ["serial", "process"])
-    def test_buffer_matches_pickle_matrix(self, shards, backend):
+    def test_buffer_matches_serial_runtime_matrix(self, shards, backend):
         corpus = random_corpus(43, size=14)
-        buffer_sig, buffer_bytes = mine_with(corpus, wire="buffer", shards=shards, backend=backend)
-        pickle_sig, pickle_bytes = mine_with(corpus, wire="pickle", shards=shards, backend=backend)
-        assert buffer_sig == pickle_sig
-        assert 0 < buffer_bytes < pickle_bytes
-
-    @pytest.mark.slow
-    @pytest.mark.scenario
-    @pytest.mark.parametrize("wire", list(WIRES))
-    def test_golden_scenario_digest_is_wire_invariant(self, wire, monkeypatch):
-        monkeypatch.setenv(WIRE_ENV, wire)
-        report = differential_check(
-            get_scenario("dense-uniform"),
-            shard_counts=(2,),
-            backends=("serial",),
-            check_oracle=False,
+        buffer_sig, buffer_bytes, pickle_bytes = mine_with(
+            corpus, shards=shards, backend=backend
         )
-        assert report.ok, report.failures
+        assert buffer_sig == serial_signature(corpus)
+        assert 0 < buffer_bytes < pickle_bytes
 
 
 # ----------------------------------------------------------------------
@@ -327,8 +351,8 @@ class TestShmTransport:
         # A 1-byte threshold forces every blob through a segment.
         monkeypatch.setenv("REPRO_SHM_THRESHOLD", "1")
         corpus = random_corpus(47)
-        serial_sig, serial_bytes = mine_with(corpus, wire="buffer", backend="serial")
-        process_sig, process_bytes = mine_with(corpus, wire="buffer", backend="process")
+        serial_sig, serial_bytes, _ = mine_with(corpus, backend="serial")
+        process_sig, process_bytes, _ = mine_with(corpus, backend="process")
         assert process_sig == serial_sig
         assert process_bytes == serial_bytes  # accounting is transport-independent
         assert not own_shm_residue()
