@@ -3,11 +3,11 @@
 Mines the same >= 400-transaction corpus along two axes —
 
 * **Scaling curve** — for each worker count (default 1, 2, 4) and both
-  sharded backends: ``serial`` (inline workers; isolates the *batching*
-  gain — one transaction-major pass per level per shard — with zero
-  parallelism) and ``process`` (``multiprocessing`` workers with the
-  shared-memory blob transport; adds real parallelism on multi-core
-  hosts).  Every mode is compared against the plain
+  sharded backends: ``serial`` (inline workers; isolates the cost of
+  sharding itself — planning, encoding, delta-session levels against
+  resident shard stores — with zero parallelism) and ``process``
+  (``multiprocessing`` workers with the shared-memory blob transport;
+  adds real parallelism on multi-core hosts).  Every mode is compared against the plain
   :class:`~repro.runtime.base.SerialRuntime` baseline and records its
   ``wire_bytes_shipped``.
 * **Wire differential** — one more sharded mine that also prices every
@@ -222,7 +222,7 @@ def main() -> None:
     if cpu_count == 1:
         report["note"] = (
             "host has 1 CPU: the process backend is core-bound and its "
-            "speedups measure IPC overhead on top of the batching gain, "
+            "speedups measure IPC overhead on top of the sharding cost, "
             "not parallelism; run on a multi-core host for the real curve"
         )
         print(f"note: {report['note']}")

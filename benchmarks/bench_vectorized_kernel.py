@@ -1,11 +1,8 @@
 """Benchmark: the numpy columnar match kernel vs. the pure-python oracle.
 
 Mines the same >= 400-transaction corpus as ``bench_parallel_support``
-four ways —
+three ways —
 
-* ``serial-batched`` — :class:`~repro.runtime.shards.ShardedEngine` with
-  the inline backend, embedding store off, python kernel: PR 2's
-  transaction-major batching, the historical baseline;
 * ``embedding-serial-python`` — the embedding store on the serial
   runtime with the pure-python kernel: PR 4's configuration, and the
   differential oracle for the vectorized path;
@@ -26,8 +23,6 @@ so the CI smoke job fails loudly instead of uploading a regression.
 
 Speedups reported:
 
-* ``speedup_vs_serial_batched`` — vectorized vs. the in-run PR 2
-  baseline (the ISSUE's >= 5x headline);
 * ``speedup_vs_python_kernel`` — vectorized vs. the in-run python
   kernel on identical configuration (the regression guard: must be > 1);
 * ``speedup_vs_recorded_embedding_serial`` — vectorized vs. PR 4's
@@ -63,12 +58,11 @@ DEFAULT_WORKERS = 4
 DEFAULT_REPS = 3
 
 
-def mine(corpus, kernel: str, use_store: bool = True, runtime=None):
+def mine(corpus, kernel: str, runtime=None):
     miner = FSGMiner(
         min_support=MIN_SUPPORT,
         max_edges=MAX_EDGES,
         runtime=runtime,
-        use_embedding_store=use_store,
         kernel=kernel if runtime is None else None,
     )
     start = time.perf_counter()
@@ -126,15 +120,13 @@ def main() -> None:
             print(f"ERROR: {label} changed mining output", file=sys.stderr)
         print(f"{label:28s} {elapsed:8.3f}s   {count} frequent patterns")
 
-    def sharded(kernel, use_store):
+    def sharded(kernel):
         runtime = ShardedEngine(shards=workers, backend="serial", kernel=kernel)
         try:
-            return mine(corpus, kernel, use_store=use_store, runtime=runtime)
+            return mine(corpus, kernel, runtime=runtime)
         finally:
             runtime.close()
 
-    # The slow PR 2 baseline runs once; the fast modes take best-of-reps.
-    record("serial-batched", *sharded("python", use_store=False))
     record(
         "embedding-serial-python",
         *best_of(reps, "embedding-serial-python", lambda: mine(corpus, "python")),
@@ -145,12 +137,11 @@ def main() -> None:
     )
     record(
         "embedding-sharded-vectorized",
-        *best_of(reps, "embedding-sharded-vectorized", lambda: sharded("vectorized", True)),
+        *best_of(reps, "embedding-sharded-vectorized", lambda: sharded("vectorized")),
     )
 
     vectorized = timings["embedding-serial-vectorized"]
     python_kernel = timings["embedding-serial-python"]
-    batched = timings["serial-batched"]
 
     # The recorded PR 4 number is only comparable on the same corpus.
     recorded_path = Path(__file__).resolve().parent.parent / "BENCH_embedding.json"
@@ -174,7 +165,6 @@ def main() -> None:
         "max_edges": MAX_EDGES,
         "n_patterns": len(reference_signature),
         "seconds": {key: round(value, 3) for key, value in timings.items()},
-        "speedup_vs_serial_batched": round(batched / vectorized, 2),
         "speedup_vs_python_kernel": round(python_kernel / vectorized, 2),
         "outputs_identical": not divergent,
     }
@@ -187,9 +177,8 @@ def main() -> None:
         report["divergent_modes"] = divergent
 
     print(
-        f"vectorized kernel is {report['speedup_vs_serial_batched']}x the serial-batched "
-        f"baseline ({batched:.2f}s -> {vectorized:.2f}s) and "
-        f"{report['speedup_vs_python_kernel']}x the python kernel ({python_kernel:.2f}s)"
+        f"vectorized kernel is {report['speedup_vs_python_kernel']}x the python kernel "
+        f"({python_kernel:.2f}s -> {vectorized:.2f}s)"
     )
     if recorded_embedding_serial:
         print(

@@ -126,17 +126,6 @@ class _Entry:
         self.index = index
 
 
-class _BatchedPattern:
-    """Per-pattern state hoisted out of the transaction scan of a batch."""
-
-    __slots__ = ("index", "key", "plans")
-
-    def __init__(self, index: GraphIndex) -> None:
-        self.index = index
-        self.key: object = _NO_KEY
-        self.plans: _Plan | None = None
-
-
 @dataclass
 class EmbeddingTask:
     """One pattern of an incremental support batch.
@@ -243,8 +232,8 @@ class MatchEngine:
         self._transaction_entries: list[_Entry | None] = []
         self._verdicts: OrderedDict[tuple, bool] = OrderedDict()
         # Inverted edge-triple index over *compact* (immutable) registered
-        # transactions: triple -> tids containing it.  Lets batch_support
-        # reject whole transactions per pattern with set intersections
+        # transactions: triple -> tids containing it.  Lets the support
+        # paths reject whole transactions per pattern with set intersections
         # instead of per-(pattern, tid) could_contain calls.  Mutable
         # LabeledGraph transactions are deliberately excluded — their
         # triple sets can change after registration.
@@ -561,104 +550,6 @@ class MatchEngine:
         """Number of registered transactions containing *pattern*."""
         return len(self.support(pattern, tids))
 
-    def batch_support(
-        self,
-        patterns: Sequence[LabeledGraph | CompactGraph],
-        tid_lists: Sequence[Iterable[int]] | None = None,
-        pattern_keys: Sequence[object] | None = None,
-    ) -> list[frozenset[int]]:
-        """Supports of a whole pattern batch, one pass over the transactions.
-
-        ``tid_lists[i]`` restricts pattern ``i`` to those registered
-        transactions (``None`` scans every live transaction for every
-        pattern).  The scan is transaction-major: each transaction's index
-        entry is resolved once for the whole batch and its candidate
-        buckets are filtered once per distinct ``(label, min-out, min-in)``
-        requirement instead of once per pattern, and each pattern's
-        matching order and edge-requirement plan is computed once instead
-        of once per transaction.  Verdicts use the same
-        ``(pattern canonical code, tid, version)`` LRU as :meth:`support`,
-        so the two paths are interchangeable and return identical sets.
-
-        Patterns may be given in compact form (the runtime workers' wire
-        format); their labels must have been interned through this
-        engine's table.  ``pattern_keys[i]``, when given, supplies pattern
-        ``i``'s verdict-cache key precomputed elsewhere (a canonical-code
-        string, or ``False`` for "canonicalisation fails, don't cache");
-        ``None`` entries are computed here.  Canonical codes are the most
-        expensive per-pattern setup, so a parent that already memoized
-        them (candidate dedup does) should always pass them along rather
-        than have every shard recompute them.
-        """
-        batched = [_BatchedPattern(self._index_of_any(pattern)) for pattern in patterns]
-        if pattern_keys is not None and len(pattern_keys) != len(batched):
-            raise ValueError("pattern_keys must align with patterns")
-        for position, info in enumerate(batched):
-            provided = pattern_keys[position] if pattern_keys is not None else None
-            if provided is None:
-                info.key = self._pattern_key(info.index)
-            elif provided is False:
-                info.key = _NO_KEY
-            else:
-                info.key = provided
-        self.stats.batch_calls += 1
-        self.stats.batch_patterns += len(batched)
-
-        if tid_lists is None:
-            live = [
-                tid
-                for tid, transaction in enumerate(self._transactions)
-                if transaction is not None
-            ]
-            tid_lists = [live] * len(batched)
-        elif len(tid_lists) != len(batched):
-            raise ValueError("tid_lists must align with patterns")
-
-        per_tid: dict[int, list[int]] = {}
-        compact_tids = self._compact_tids
-        stats = self.stats
-        for position, tids in enumerate(tid_lists):
-            tids = list(tids)
-            # Whole-transaction rejection via the inverted triple index:
-            # one set intersection per pattern replaces a could_contain
-            # call per (pattern, compact transaction) pair.
-            allowed = self._triple_filter(batched[position].index)
-            if allowed is not None and compact_tids:
-                kept = [
-                    tid for tid in tids if tid not in compact_tids or tid in allowed
-                ]
-                stats.early_rejects += len(tids) - len(kept)
-                tids = kept
-            for tid in tids:
-                per_tid.setdefault(tid, []).append(position)
-
-        supported: list[list[int]] = [[] for _ in batched]
-        verdicts = self._verdicts
-        for tid in sorted(per_tid):
-            version, t_index = self._transaction_index(tid)
-            candidate_cache: dict[tuple[int, int, int], list[int]] = {}
-            for position in per_tid[tid]:
-                info = batched[position]
-                key = None
-                if info.key is not _NO_KEY:
-                    key = (info.key, tid, version)
-                    cached = verdicts.get(key)
-                    if cached is not None:
-                        verdicts.move_to_end(key)
-                        stats.verdict_hits += 1
-                        if cached:
-                            supported[position].append(tid)
-                        continue
-                    stats.verdict_misses += 1
-                verdict = self._batched_exists(info, t_index, candidate_cache)
-                if key is not None:
-                    verdicts[key] = verdict
-                    if len(verdicts) > self.verdict_cache_size:
-                        verdicts.popitem(last=False)
-                if verdict:
-                    supported[position].append(tid)
-        return [frozenset(tids) for tids in supported]
-
     def _triple_filter(self, p_index: GraphIndex):
         """Compact tids that contain every edge triple of the pattern.
 
@@ -676,43 +567,6 @@ class MatchEngine:
                 return frozenset()
             allowed = bucket if allowed is None else allowed & bucket
         return allowed
-
-    def _batched_exists(
-        self,
-        info: "_BatchedPattern",
-        t_index: GraphIndex,
-        candidate_cache: dict[tuple[int, int, int], list[int]],
-    ) -> bool:
-        """Existence check for one batched pattern against one transaction."""
-        pattern = info.index.compact
-        if pattern.n_vertices == 0:
-            return True
-        if not t_index.could_contain(info.index):
-            self.stats.early_rejects += 1
-            return False
-        candidates: list[list[int]] = []
-        for p_vertex in range(pattern.n_vertices):
-            requirement = (
-                pattern.vertex_labels[p_vertex],
-                len(pattern.out_adj[p_vertex]),
-                len(pattern.in_adj[p_vertex]),
-            )
-            feasible = candidate_cache.get(requirement)
-            if feasible is None:
-                # The columnar mask pass returns the identical ascending
-                # vertex list as the index's bucket filter.
-                if self.kernel == "vectorized":
-                    feasible = t_index.columns().candidates(*requirement)
-                else:
-                    feasible = t_index.candidates(*requirement)
-                candidate_cache[requirement] = feasible
-            if not feasible:
-                return False
-            candidates.append(feasible)
-        self.stats.searches += 1
-        if info.plans is None:
-            info.plans = _plans_for(pattern, _static_matching_order(pattern))
-        return bool(_search(pattern, t_index.compact, info.plans, candidates, max_count=1))
 
     # ------------------------------------------------------------------
     # Incremental support: the embedding store
@@ -749,8 +603,8 @@ class MatchEngine:
         every embedding of a one-edge pattern is literally an edge.
 
         Per-task ``abort_below`` arms the same early-abort bound as
-        :meth:`support`; the scan is transaction-major like
-        :meth:`batch_support` and verdicts are written to the same LRU.
+        :meth:`support`; the scan is transaction-major and verdicts are
+        written to the same LRU.
         Returns one ascending tid list per task.
 
         Under ``kernel="vectorized"`` the batch is answered by the numpy
@@ -779,9 +633,11 @@ class MatchEngine:
         compact_tids = self._compact_tids
         for position, info in enumerate(infos):
             tids = list(info.task.tids)
-            # Whole-transaction rejection via the inverted triple index,
-            # exactly as in batch_support.  A rejected tid is a definitive
-            # "no", so it also shrinks the early-abort remainder.
+            # Whole-transaction rejection via the inverted triple index:
+            # one set intersection per pattern replaces a could_contain
+            # call per (pattern, compact transaction) pair.  A rejected
+            # tid is a definitive "no", so it also shrinks the early-abort
+            # remainder.
             allowed = self._triple_filter(info.index)
             if allowed is not None and compact_tids:
                 kept = [tid for tid in tids if tid not in compact_tids or tid in allowed]
@@ -1170,9 +1026,7 @@ def _search(
 
     *plans* fixes the placement order and per-position edge requirements;
     *candidates* holds, per pattern vertex, the feasible target vertices
-    used at unanchored positions.  Shared by the per-query path (dynamic,
-    target-informed order) and the batched path (static per-pattern order
-    reused across a whole transaction scan).
+    used at unanchored positions.
     """
     t_labels = target.vertex_labels
     t_out = target.out_adj
@@ -1238,40 +1092,6 @@ def _search(
 
     backtrack(0)
     return results
-
-
-def _static_matching_order(pattern: CompactGraph) -> list[int]:
-    """Target-independent frontier-extending order (highest degree first).
-
-    The batched path reuses one order for a whole transaction scan, so it
-    cannot rank by per-target candidate counts the way
-    :func:`_matching_order` does; degree is the best target-free proxy.
-    """
-    n = pattern.n_vertices
-    neighbours = [
-        {dst for dst, _ in pattern.out_adj[v]} | {src for src, _ in pattern.in_adj[v]}
-        for v in range(n)
-    ]
-    degree = [len(pattern.out_adj[v]) + len(pattern.in_adj[v]) for v in range(n)]
-    remaining = set(range(n))
-    in_order = [False] * n
-    order: list[int] = []
-
-    def rank(v: int) -> tuple[int, int]:
-        return (-degree[v], v)
-
-    start = min(remaining, key=rank)
-    order.append(start)
-    in_order[start] = True
-    remaining.remove(start)
-    while remaining:
-        frontier = [v for v in remaining if any(in_order[n_] for n_ in neighbours[v])]
-        pool = frontier or sorted(remaining)
-        nxt = min(pool, key=rank)
-        order.append(nxt)
-        in_order[nxt] = True
-        remaining.remove(nxt)
-    return order
 
 
 def _matching_order(pattern: CompactGraph, candidates: list[list[int]]) -> list[int]:

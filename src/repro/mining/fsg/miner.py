@@ -115,8 +115,10 @@ class FSGMiner:
         ``(pattern, tid)`` query extends a stored parent embedding
         instead of searching from scratch, with full search as the
         correctness fallback.  Mining output is identical either way —
-        ``False`` keeps the pattern-major full-search path for baselines
-        and differential tests.
+        ``False`` searches every candidate from scratch, pattern by
+        pattern: the serial reference differential tests compare against.
+        It needs a :class:`~repro.runtime.base.SerialRuntime`; any other
+        runtime raises ``ValueError``.
     """
 
     min_support: float | int = 0.05
@@ -144,6 +146,11 @@ class FSGMiner:
         support_threshold = _resolve_min_support(self.min_support, n_transactions)
         engine = self.engine if self.engine is not None else MatchEngine(kernel=self.kernel)
         runtime = self.runtime if self.runtime is not None else SerialRuntime(engine=engine)
+        if not self.use_embedding_store and not isinstance(runtime, SerialRuntime):
+            raise ValueError(
+                "use_embedding_store=False is the serial full-search reference "
+                f"and needs a SerialRuntime, got {type(runtime).__name__}"
+            )
         tracer = self.tracer if self.tracer is not None else get_tracer()
         # The parent engine's counter delta across this run covers
         # canonicalisation/dedup work always, and — under the serial
@@ -243,7 +250,7 @@ class FSGMiner:
                         [candidate for candidate, _ in level_patterns],
                         engine,
                         to_global,
-                        wants_keys=getattr(session, "wants_keys", True),
+                        wants_keys=session.wants_keys,
                     )
                 )
             result.level_seconds[1] = time.perf_counter() - level_started
@@ -304,8 +311,8 @@ class FSGMiner:
                     live_uids = sorted(surviving_uids)
                 else:
                     level_patterns = self._prune_level(
-                        candidates, support_threshold, engine, runtime, runtime_tids,
-                        result=result, level=level + 1,
+                        candidates, support_threshold, runtime, runtime_tids,
+                        result, level + 1,
                     )
                 support_span.finish(survivors=len(level_patterns))
                 level += 1
@@ -326,32 +333,24 @@ class FSGMiner:
         self,
         candidates: Sequence[Candidate],
         support_threshold: int,
-        engine: MatchEngine,
-        runtime: MiningRuntime,
+        runtime: SerialRuntime,
         runtime_tids: Sequence[int],
-        result: FSGResult | None = None,
-        level: int | None = None,
+        result: FSGResult,
+        level: int,
     ) -> list[tuple[Candidate, frozenset[int]]]:
-        """Evaluate a whole level's candidates through the runtime.
+        """Evaluate a whole level by full search on the serial runtime.
 
         Candidate parent TID lists are local indices into this run's
         transaction sequence; they are translated to the runtime's global
-        tid space for the batched query and the resulting support sets are
-        translated back, so callers only ever see local ids.  Candidate
-        canonical codes — memoized by deduplication an instant ago — ride
-        along as verdict-cache keys so shards never recanonicalise.
-
-        When *result*/*level* are given, a session-telemetry record
-        (wire bytes, planning seconds, patterns shipped) is filed for the
-        level, measured with the same rulers as the embedding-store path
-        — so ``use_embedding_store=False`` A/B runs report through the
-        very telemetry they are compared against.
+        tid space for the query and the resulting support sets are
+        translated back, so callers only ever see local ids.  The level's
+        telemetry record counts each evaluated candidate as one full
+        shipment, as the serial session does.
         """
-        planning_started = time.perf_counter()
         local_of = {global_tid: local for local, global_tid in enumerate(runtime_tids)}
         # A candidate's support is bounded by its parent TID list, so a
-        # list already below threshold can never survive — don't even ship
-        # those candidates to the runtime.
+        # list already below threshold can never survive — don't even
+        # search for those candidates.
         viable = [
             candidate
             for candidate in candidates
@@ -361,44 +360,12 @@ class FSGMiner:
             [runtime_tids[local] for local in sorted(candidate.parent_tids)]
             for candidate in viable
         ]
-        pattern_keys: list[object] = []
-        for candidate in viable:
-            try:
-                pattern_keys.append(engine.canonical_code(candidate.pattern))
-            except CanonicalizationError:
-                get_tracer().metrics.counter("canonical_fallbacks", site="miner")
-                pattern_keys.append(False)
-        planning_seconds = time.perf_counter() - planning_started
-        wire_before = getattr(runtime, "wire_bytes_shipped", 0)
-        recovery = getattr(runtime, "recovery", None)
-        recovery_before = dict(recovery) if recovery is not None else None
         supports = runtime.batch_support(
-            [candidate.pattern for candidate in viable], tid_lists, pattern_keys
+            [candidate.pattern for candidate in viable], tid_lists
         )
-        if result is not None and level is not None:
-            counters = zero_telemetry()
-            counters["planning_seconds"] = planning_seconds
-            counters["wire_bytes"] = (
-                getattr(runtime, "wire_bytes_shipped", 0) - wire_before
-            )
-            if recovery_before is not None:
-                # Supervised runtimes respawn dead workers and replay the
-                # level; file what this level cost in recoveries.
-                for key in ("worker_restarts", "level_replays"):
-                    counters[key] = recovery[key] - recovery_before[key]
-            # The batch protocol always ships whole patterns; one count
-            # per shipped candidate (a sharded runtime posts each only to
-            # the shards its tid list touches, but the per-(request,
-            # shard) breakdown is not visible parent-side here).
-            counters["patterns_full"] = len(viable)
-            scan_units = getattr(runtime, "last_level_scan_units", None)
-            if scan_units:
-                counters["shard_scan_max"] = max(scan_units)
-                counters["shard_scan_min"] = min(scan_units)
-            result.level_telemetry[level] = counters
-            drain = getattr(runtime, "drain_worker_spans", None)
-            if drain is not None:
-                drain(level=level)
+        counters = zero_telemetry()
+        counters["patterns_full"] = len(viable)
+        result.level_telemetry[level] = counters
         surviving: list[tuple[Candidate, frozenset[int]]] = []
         for candidate, supported in zip(viable, supports):
             if len(supported) >= support_threshold:
@@ -415,9 +382,9 @@ class FSGMiner:
     ) -> None:
         """Per-level telemetry bookkeeping shared by both support paths.
 
-        Files the level's session telemetry on the result (the sessionless
-        batch path filed its own in :meth:`_prune_level`; level 1 without
-        a session never touches the runtime, so it gets explicit zeros to
+        Files the level's session telemetry on the result (the full-search
+        path filed its own in :meth:`_prune_level`; level 1 without a
+        session never touches the runtime, so it gets explicit zeros to
         keep the per-level key set identical across paths) and mirrors
         the counters into the tracer's metrics registry labeled by level.
         """
@@ -501,7 +468,7 @@ class FSGMiner:
                 viable,
                 engine,
                 to_global,
-                wants_keys=getattr(session, "wants_keys", True),
+                wants_keys=session.wants_keys,
             ),
             min_support=support_threshold,
         )

@@ -21,9 +21,9 @@ from __future__ import annotations
 from repro.obs.export import TraceData
 
 #: Span names whose duration counts toward a worker's per-level cell.
-#: Shard timelines are summed over their leveled message spans; the main
-#: timeline uses the miner's own level spans.
-_SHARD_LEVEL_SPANS = ("shard.slevel", "shard.batch")
+#: Shard timelines are summed over their session-level message spans; the
+#: main timeline uses the miner's own level spans.
+_SHARD_LEVEL_SPAN = "shard.slevel"
 _MAIN_LEVEL_SPAN = "fsg.level"
 
 
@@ -43,7 +43,7 @@ def _level_worker_cells(data: TraceData) -> tuple[list[str], list[str], dict]:
         source = [
             s
             for s in data.spans
-            if s.worker != "main" and s.name in _SHARD_LEVEL_SPANS
+            if s.worker != "main" and s.name == _SHARD_LEVEL_SPAN
         ]
     else:
         workers = ["main"]

@@ -1,15 +1,16 @@
-"""Parallel mining runtime: sharded support counting and batched evaluation.
+"""Parallel mining runtime: sharded support counting through mining sessions.
 
 The level-wise miners spend nearly all their time in per-(pattern,
 transaction) support checks.  This package is the execution subsystem that
 scales that hot path without ever changing mining output:
 
 * :class:`~repro.runtime.base.MiningRuntime` — the substrate interface
-  the miners program against (register transactions, batched support over
-  global tids, mining sessions, aggregated stats).
+  the miners program against (register transactions, mining sessions that
+  answer per-level support over global tids, aggregated stats).
 * :class:`~repro.runtime.base.SerialRuntime` — single-engine reference
-  implementation; the default everywhere, byte-identical to the
-  pre-runtime behaviour.
+  implementation; the default everywhere, and the only runtime that also
+  keeps the pattern-by-pattern full search the embedding-store path is
+  checked against.
 * :class:`~repro.runtime.shards.ShardedEngine` — K shards, each owning
   its transactions' indexes and verdict cache.  It runs one
   configuration: weighted tid placement
@@ -62,7 +63,6 @@ from repro.runtime.bitsets import (
 from repro.runtime.planner import (
     BatchSupportPlanner,
     PlacementPolicy,
-    ShardBatch,
     ShardSessionBatch,
     wire_cost,
 )
@@ -117,7 +117,6 @@ __all__ = [
     "ProcessBackend",
     "SerialBackend",
     "SerialRuntime",
-    "ShardBatch",
     "ShardSessionBatch",
     "ShardWorker",
     "ShardedEngine",

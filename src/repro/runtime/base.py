@@ -181,8 +181,7 @@ class MiningSession(ABC):
     ) -> list[int]:
         """Per-request supporting-tid *bitsets* for one mining level.
 
-        The incremental counterpart of :meth:`MiningRuntime.batch_support`:
-        requests carry global-tid bitsets and embedding-store derivations,
+        Requests carry global-tid bitsets and embedding-store derivations,
         answers come back as global-tid bitsets (shard results merge with
         ``|``).  *min_support* arms per-pattern early abort — a request
         whose support provably cannot reach it may return a partial
@@ -226,10 +225,8 @@ class MiningSession(ABC):
 class DelegatingSession(MiningSession):
     """:class:`SerialRuntime`'s session: every call delegates directly.
 
-    The delegation preserves the exact engine-call sequence of the
-    sessionless path, so serial mining stays byte-identical whether or
-    not a session is in the loop.  One engine is one "shard": each
-    request counts as one full shipment, and nothing crosses a wire.
+    One engine is one "shard": each request counts as one full shipment,
+    and nothing crosses a wire.
     """
 
     def __init__(self, runtime: "SerialRuntime") -> None:
@@ -274,29 +271,6 @@ class MiningRuntime(ABC):
         """Drop the references held for *tids* (tids are never reused)."""
 
     @abstractmethod
-    def batch_support(
-        self,
-        patterns: Sequence[LabeledGraph],
-        tid_lists: Sequence[Sequence[int]] | None = None,
-        pattern_keys: Sequence[object] | None = None,
-    ) -> list[frozenset[int]]:
-        """Per-pattern supporting global tids for a whole candidate batch.
-
-        ``tid_lists[i]`` restricts pattern ``i`` to those global tids;
-        ``None`` scans every live transaction for every pattern.
-        ``pattern_keys`` optionally carries each pattern's precomputed
-        verdict-cache key (canonical-code string, ``False`` for
-        uncacheable, ``None`` for unknown) so shards never redo the
-        canonicalisation a caller has already memoized.
-        """
-
-    def support(
-        self, pattern: LabeledGraph, tids: Sequence[int] | None = None
-    ) -> frozenset[int]:
-        """Supporting global tids of a single pattern."""
-        return self.batch_support([pattern], None if tids is None else [tids])[0]
-
-    @abstractmethod
     def open_session(self) -> MiningSession:
         """Open a mining session for one level-wise run.
 
@@ -319,14 +293,14 @@ class MiningRuntime(ABC):
 
 
 class SerialRuntime(MiningRuntime):
-    """Single-engine runtime reproducing the pre-runtime behaviour exactly.
+    """Single-engine runtime: the default, and the reference for the others.
 
-    Support queries go through :meth:`MatchEngine.support` pattern by
-    pattern — the same calls, in the same order, as the miners made before
-    the runtime existed — so every existing test and example is bitwise
-    unchanged under the default runtime.  (The batched transaction-major
-    pass is the sharded runtimes' job; see
-    :class:`~repro.runtime.shards.ShardedEngine`.)
+    Level queries go through the engine's embedding store exactly as a
+    sharded session's shards answer them, so it is the determinism oracle
+    for :class:`~repro.runtime.shards.ShardedEngine`.  It alone also keeps
+    the pattern-by-pattern full search (:meth:`batch_support`,
+    :meth:`support`): the reference the embedding-store path is checked
+    against.
     """
 
     def __init__(
@@ -360,10 +334,14 @@ class SerialRuntime(MiningRuntime):
         self,
         patterns: Sequence[LabeledGraph],
         tid_lists: Sequence[Sequence[int]] | None = None,
-        pattern_keys: Sequence[object] | None = None,
     ) -> list[frozenset[int]]:
-        # pattern_keys is accepted for interface parity but unused: the
-        # engine's own per-index memoization already makes keys free here.
+        """Per-pattern supporting tids, searched from scratch pattern by pattern.
+
+        ``tid_lists[i]`` restricts pattern ``i`` to those tids; ``None``
+        scans every live transaction for every pattern.  This is the
+        full-search reference the embedding-store path is checked against
+        (``FSGMiner(use_embedding_store=False)``).
+        """
         if tid_lists is not None and len(tid_lists) != len(patterns):
             raise ValueError("tid_lists must align with patterns")
         return [
@@ -372,6 +350,12 @@ class SerialRuntime(MiningRuntime):
             )
             for position, pattern in enumerate(patterns)
         ]
+
+    def support(
+        self, pattern: LabeledGraph, tids: Sequence[int] | None = None
+    ) -> frozenset[int]:
+        """Supporting tids of a single pattern."""
+        return self.engine.support(pattern, tids)
 
     def batch_support_level(
         self,

@@ -27,13 +27,14 @@ and filter keys
 ``shard=N``
     Only fire on shard ``N`` (default: any shard).
 ``op=NAME``
-    Only fire on messages whose op is ``NAME`` (``slevel``, ``batch``,
-    ``add``...; default: any op).
+    Only fire on messages whose op is ``NAME``, one of :data:`WORKER_OPS`
+    (``labels``, ``add``, ``release``, ``slevel``, ``sevict``, ``stats``;
+    default: any op).  Any other name is rejected at parse time, so a
+    misspelt op cannot silently arm a clause that never fires.
 ``level=N``
-    Only fire on the worker's ``N``-th level-type message (``slevel`` /
-    ``batch``), counted from arming.  The miner primes level
-    1 first, so on a freshly armed worker this is the mining level for
-    shards that receive every level.
+    Only fire on the worker's ``N``-th ``slevel`` message, counted from
+    arming.  The miner primes level 1 first, so on a freshly armed worker
+    this is the mining level for shards that receive every level.
 ``nth=N``
     Only fire on the ``N``-th message matching the clause's other
     filters (1-based; default: the first match).
@@ -66,9 +67,14 @@ FAULTS_ENV = "REPRO_FAULTS"
 #: Fault kinds understood by the parser.
 FAULT_KINDS = ("kill", "hang", "corrupt-reply")
 
+#: Shard-worker message ops a clause can filter on: every op a
+#: :class:`~repro.runtime.shards.ShardWorker` handles except the control
+#: ops (``trace``, ``faults``), which never reach the injector.
+WORKER_OPS = ("labels", "add", "release", "slevel", "sevict", "stats")
+
 #: Message ops that advance the injector's level counter (the worker-side
 #: mirror of "one mining level = one level-type message per shard").
-_LEVEL_OPS = frozenset({"slevel", "batch"})
+_LEVEL_OPS = frozenset({"slevel"})
 
 #: What a corrupted reply is replaced with: a value no shard op ever
 #: legitimately returns, so the parent's shape validation always flags it.
@@ -123,6 +129,10 @@ class FaultClause:
         if self.kind not in FAULT_KINDS:
             raise ValueError(
                 f"unknown fault kind {self.kind!r}; expected one of {FAULT_KINDS}"
+            )
+        if self.op is not None and self.op not in WORKER_OPS:
+            raise ValueError(
+                f"unknown fault clause op {self.op!r}; expected one of {WORKER_OPS}"
             )
         for name in ("shard", "level", "nth", "times"):
             value = getattr(self, name)
@@ -323,6 +333,7 @@ __all__ = [
     "FaultPlan",
     "NULL_PLAN",
     "SimulatedWorkerDeath",
+    "WORKER_OPS",
     "compile_injector",
     "resolve_faults",
 ]

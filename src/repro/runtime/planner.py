@@ -1,27 +1,22 @@
-"""Batched per-level support planning across shards.
+"""Per-level support planning across shards.
 
 At each FSG level the miner has a batch of surviving candidate patterns,
-each with the (global) transaction ids it could possibly occur in — its
-parent's TID list.  The :class:`BatchSupportPlanner` turns that batch into
-one task per shard:
+each with the (global) transaction ids it could possibly occur in — the
+intersection of its parents' supports.  :meth:`BatchSupportPlanner.
+plan_session_level` turns that batch into one task per shard:
 
 * global tids are translated to each shard's local tid space;
 * a pattern is only shipped to a shard that owns at least one of its
   candidate transactions (a pattern whose parents all live elsewhere costs
-  the shard nothing — not even a pickle);
-* every pattern is encoded once as a :class:`~repro.graphs.compact.
-  CompactGraph` wire tuple, shared by all shard tasks that need it.
+  the shard nothing);
+* a derived candidate ships as a small delta against its parent when that
+  parent is resident in the shard's pattern store, and as a
+  :class:`~repro.graphs.compact.CompactGraph` wire tuple — encoded once,
+  shared by every shard task that needs it — otherwise.
 
-The shard evaluates its task in a single transaction-major pass
-(:meth:`~repro.graphs.engine.MatchEngine.batch_support`): per transaction,
-the index entry is resolved once and candidate buckets are filtered once
-per distinct requirement, serving every pattern in the batch.  Merging is
-trivial because shards partition the transactions: the per-pattern global
-support set is the disjoint union of the shard-local results.
-
-A mining session's levels go through :meth:`BatchSupportPlanner.
-plan_session_level` instead, which ships a derived candidate as a small
-delta against its parent when that parent is resident on the shard.
+Merging (:meth:`BatchSupportPlanner.merge_level`) is trivial because
+shards partition the transactions: a request's global support is the
+disjoint union of the shard-local results.
 """
 
 from __future__ import annotations
@@ -108,96 +103,13 @@ class PlacementPolicy:
         return shard
 
 
-@dataclass
-class ShardBatch:
-    """The slice of a level batch destined for one shard.
-
-    ``positions[i]`` is the index into the level's candidate list that
-    ``wires[i]`` / ``tid_lists[i]`` correspond to; ``tid_lists`` are in the
-    shard's *local* tid space.
-    """
-
-    shard: int
-    positions: list[int] = field(default_factory=list)
-    wires: list[tuple] = field(default_factory=list)
-    tid_lists: list[list[int]] = field(default_factory=list)
-    keys: list[object] = field(default_factory=list)
-
-    def is_empty(self) -> bool:
-        return not self.positions
-
-
 class BatchSupportPlanner:
-    """Splits level batches into per-shard tasks and merges their results."""
+    """Splits session levels into per-shard tasks and merges their results."""
 
     def __init__(self, n_shards: int) -> None:
         if n_shards < 1:
             raise ValueError(f"need at least one shard, got {n_shards}")
         self.n_shards = n_shards
-
-    def plan(
-        self,
-        patterns: Sequence[LabeledGraph | CompactGraph],
-        tid_lists: Sequence[Sequence[int]] | None,
-        table: LabelTable,
-        locate,
-        pattern_keys: Sequence[object] | None = None,
-    ) -> list[ShardBatch]:
-        """Build one :class:`ShardBatch` per shard.
-
-        *locate* maps a global tid to its ``(shard, local tid)`` home (the
-        sharded engine's placement function).  With ``tid_lists=None`` the
-        caller must expand to the full live tid list first — the planner
-        never guesses at corpus membership.  ``pattern_keys`` (per-pattern
-        verdict-cache keys, see :meth:`MatchEngine.batch_support`) ride
-        along to whichever shards receive the pattern.
-        """
-        if tid_lists is None:
-            raise ValueError("the planner needs explicit tid lists per pattern")
-        if len(tid_lists) != len(patterns):
-            raise ValueError("tid_lists must align with patterns")
-        if pattern_keys is not None and len(pattern_keys) != len(patterns):
-            raise ValueError("pattern_keys must align with patterns")
-        batches = [ShardBatch(shard=shard) for shard in range(self.n_shards)]
-        for position, (pattern, tids) in enumerate(zip(patterns, tid_lists)):
-            by_shard: dict[int, list[int]] = {}
-            for tid in tids:
-                shard, local = locate(tid)
-                by_shard.setdefault(shard, []).append(local)
-            if not by_shard:
-                continue
-            wire = self._wire_of(pattern, table)
-            key = pattern_keys[position] if pattern_keys is not None else None
-            for shard, locals_ in sorted(by_shard.items()):
-                batch = batches[shard]
-                batch.positions.append(position)
-                batch.wires.append(wire)
-                batch.tid_lists.append(sorted(locals_))
-                batch.keys.append(key)
-        return batches
-
-    @staticmethod
-    def merge(
-        n_patterns: int,
-        batches: Sequence[ShardBatch],
-        shard_results: Sequence[Sequence[Sequence[int]] | None],
-        to_global,
-    ) -> list[frozenset[int]]:
-        """Union shard-local supports back into per-pattern global tid sets.
-
-        ``shard_results[k]`` aligns with ``batches[k].positions``;
-        *to_global* maps ``(shard, local tid)`` back to the global tid.
-        Shards own disjoint transactions, so the union is merge-order
-        independent — the frozensets are identical whatever order replies
-        arrive in.
-        """
-        merged: list[set[int]] = [set() for _ in range(n_patterns)]
-        for batch, result in zip(batches, shard_results):
-            if result is None:
-                continue
-            for position, locals_ in zip(batch.positions, result):
-                merged[position].update(to_global(batch.shard, local) for local in locals_)
-        return [frozenset(tids) for tids in merged]
 
     @staticmethod
     def _wire_of(pattern: LabeledGraph | CompactGraph, table: LabelTable) -> tuple:
@@ -232,9 +144,6 @@ class BatchSupportPlanner:
                     )
         return merged
 
-    # ------------------------------------------------------------------
-    # Stateful (mining-session) level planning
-    # ------------------------------------------------------------------
     def plan_session_level(
         self,
         requests: Sequence,
@@ -357,8 +266,8 @@ class ShardSessionBatch:
     a delta ``("d", edge_label_id, new_label_id, mask_buffer)`` tuple,
     scan sets as flat bitset byte buffers (see
     :meth:`BatchSupportPlanner.plan_session_level`).  Replies align with
-    ``positions`` too, so :meth:`BatchSupportPlanner.merge_level` merges
-    session batches unchanged.
+    ``positions`` too, which is what :meth:`BatchSupportPlanner.merge_level`
+    merges on.
     """
 
     shard: int

@@ -74,9 +74,6 @@ DEFAULT_WORKER_TIMEOUT = 300.0
 #: How often the deadline poll wakes up to check the worker's pulse.
 _POLL_INTERVAL = 0.05
 
-#: Environment knob for the shared-memory shipping threshold, in bytes.
-SHM_THRESHOLD_ENV = "REPRO_SHM_THRESHOLD"
-
 #: Default threshold above which a flat-buffer blob rides a
 #: ``multiprocessing.shared_memory`` segment instead of the pipe.  Below
 #: it the pipe wins: a segment costs a shm_open + mmap round trip that
@@ -85,17 +82,9 @@ DEFAULT_SHM_THRESHOLD = 1 << 15  # 32 KiB
 
 
 def resolve_shm_threshold(threshold: int | None = None) -> int | None:
-    """Normalise the shm threshold: ``None`` → env → default; ≤0 → off."""
+    """Normalise the shm threshold: ``None`` → default; ≤0 → off."""
     if threshold is None:
-        raw = os.environ.get(SHM_THRESHOLD_ENV, "").strip()
-        if not raw:
-            return DEFAULT_SHM_THRESHOLD
-        try:
-            threshold = int(raw)
-        except ValueError as error:
-            raise ValueError(
-                f"{SHM_THRESHOLD_ENV}={raw!r} is not a byte count"
-            ) from error
+        threshold = DEFAULT_SHM_THRESHOLD
     threshold = int(threshold)
     return None if threshold <= 0 else threshold
 
@@ -366,14 +355,14 @@ class ProcessBackend(WorkerPool):
     worker costs one poll interval, not a hang.
 
     Flat-buffer blob messages ``(BLOB_OP, op, blob)`` whose blob reaches
-    *shm_threshold* bytes (default ``REPRO_SHM_THRESHOLD`` or
-    :data:`DEFAULT_SHM_THRESHOLD`; ≤0 disables) ship through a
-    ``multiprocessing.shared_memory`` segment — the pipe then carries
-    only ``(SHM_OP, op, segment_name, size)``.  The parent owns the full
-    segment lifecycle: create + write at send, unlink at the matching
-    recv, and wholesale purge on :meth:`respawn` / :meth:`degrade` /
-    :meth:`close`, so supervision after a kill/hang leaves no
-    ``/dev/shm`` residue.  Workers only attach, copy out, and close.
+    *shm_threshold* bytes (default :data:`DEFAULT_SHM_THRESHOLD`; ≤0
+    disables) ship through a ``multiprocessing.shared_memory`` segment —
+    the pipe then carries only ``(SHM_OP, op, segment_name, size)``.  The
+    parent owns the full segment lifecycle: create + write at send,
+    unlink at the matching recv, and wholesale purge on :meth:`respawn` /
+    :meth:`degrade` / :meth:`close`, so supervision after a kill/hang
+    leaves no ``/dev/shm`` residue.  Workers only attach, copy out, and
+    close.
     """
 
     def __init__(
@@ -630,7 +619,6 @@ def make_pool(
 __all__ = [
     "DEFAULT_SHM_THRESHOLD",
     "DEFAULT_WORKER_TIMEOUT",
-    "SHM_THRESHOLD_ENV",
     "WORKER_TIMEOUT_ENV",
     "resolve_shm_threshold",
     "WorkerCorruption",

@@ -90,7 +90,7 @@ _OBS_REPLY = "__obs__"
 #: Worker span names that time per-level messages; the parent stamps
 #: these with the mining level when it drains them (other worker spans —
 #: add/release/stats — are level-free and left unstamped).
-_LEVELED_WORKER_SPANS = frozenset({"shard.slevel", "shard.batch"})
+_LEVELED_WORKER_SPANS = frozenset({"shard.slevel"})
 
 #: Default bound on resident patterns per shard store.  Mining keeps at
 #: most ~two levels' candidates alive (the miner evicts each level as
@@ -123,7 +123,6 @@ def _blob_envelope_cost(op: str) -> int:
 #: on junk.
 _REPLY_SHAPES: dict[str, type] = {
     "add": list,
-    "batch": list,
     "stats": dict,
 }
 
@@ -148,10 +147,6 @@ class ShardWorker:
         Register transactions from wire tuples; reply with local tids.
     ``("release", local_tids)``
         Drop transaction references; ack with ``None``.
-    ``("batch", wires, tid_lists, keys)``
-        Batched support for the patterns against local tids (``keys``
-        carries precomputed verdict-cache keys); reply with a sorted
-        local tid list per pattern.
     ``("slevel", evictions, payloads, uids, parent_uids, extensions, bounds)``
         One *session* level against the resident pattern store:
         parallel lists per pattern, ``bounds`` being shard-local
@@ -336,7 +331,7 @@ class ShardWorker:
         """Cheap size attributes for the per-message worker span."""
         if op == "slevel":
             return {"patterns": len(message[2]), "evictions": len(message[1])}
-        if op in ("batch", "add"):
+        if op == "add":
             return {"patterns": len(message[1])}
         return {}
 
@@ -399,11 +394,6 @@ class ShardWorker:
         if op == "release":
             self.engine.release_transactions(message[1])
             return None
-        if op == "batch":
-            patterns = [CompactGraph.from_wire(wire, self.table) for wire in message[1]]
-            self.counters["patterns_shipped_full"] += len(patterns)
-            supports = self.engine.batch_support(patterns, message[2], message[3])
-            return [sorted(tids) for tids in supports]
         if op == "slevel":
             return self._session_level(message)
         if op == "sevict":
@@ -416,7 +406,7 @@ class ShardWorker:
 
 
 class ShardedEngine(MiningRuntime):
-    """K-shard mining runtime with batched per-level evaluation.
+    """K-shard mining runtime answering support through mining sessions.
 
     The engine runs one configuration: weighted tid placement, the
     flat-buffer wire, and stateful :class:`ShardedSession` levels
@@ -494,7 +484,6 @@ class ShardedEngine(MiningRuntime):
         self.planner = BatchSupportPlanner(shards)
         self._placement = PlacementPolicy(shards)
         self._wire_bytes = 0
-        self._last_level_scan_units: list[int] = []
         self._pool = make_pool(
             self.backend,
             shards,
@@ -569,10 +558,10 @@ class ShardedEngine(MiningRuntime):
         """Forward gathered worker spans to the tracer, stamping *level*.
 
         Workers cannot know which mining level a message served, but the
-        caller that just gathered a level does — sessions (and the batch
-        miner path) call this right after each level so per-level shard
-        timings line up in the merged trace.  Leveled span names only;
-        add/stats/release spans pass through unstamped.
+        caller that just gathered a level does — sessions call this right
+        after each level so per-level shard timings line up in the merged
+        trace.  Leveled span names only; add/stats/release spans pass
+        through unstamped.
         """
         spans = self._worker_spans
         if not spans:
@@ -745,7 +734,7 @@ class ShardedEngine(MiningRuntime):
                     raise next_death
                 continue
             break
-        if op in ("slevel", "batch"):
+        if op == "slevel":
             self.recovery["level_replays"] += 1
             tracer.metrics.counter("level_replays", shard=str(shard))
         elapsed = time.perf_counter() - started
@@ -795,28 +784,6 @@ class ShardedEngine(MiningRuntime):
         decision's outcome visible in the per-level record.
         """
         return list(self._placement.loads)
-
-    @property
-    def wants_verdict_keys(self) -> bool:
-        """Whether level requests should carry verdict-cache keys.
-
-        Mirrors :attr:`SerialRuntime.wants_verdict_keys`: only shard
-        engines on the pure-python kernel ever probe the verdict LRU.
-        """
-        return self.kernel == "python"
-
-    @property
-    def last_level_scan_units(self) -> list[int]:
-        """Per-shard scan workload of the most recent support batch.
-
-        One entry per shard (idle shards report zero): the number of
-        candidate tids the planner routed there, summed over the batch.
-        Sessions surface the max/min of this list as the
-        ``shard_scan_max`` / ``shard_scan_min`` telemetry — the signal
-        that makes placement skew under label- or size-skewed corpora
-        visible per level.
-        """
-        return list(self._last_level_scan_units)
 
     # ------------------------------------------------------------------
     # Dispatch: wire accounting + scatter/gather
@@ -995,36 +962,6 @@ class ShardedEngine(MiningRuntime):
             for local in locals_:
                 wires[local] = self._tombstone_wire()
 
-    def batch_support(
-        self,
-        patterns: Sequence[LabeledGraph],
-        tid_lists: Sequence[Sequence[int]] | None = None,
-        pattern_keys: Sequence[object] | None = None,
-    ) -> list[frozenset[int]]:
-        if tid_lists is None:
-            live = sorted(tid for tid in self._home if tid not in self._released)
-            tid_lists = [live] * len(patterns)
-        batches = self.planner.plan(
-            patterns, tid_lists, self.table, self.locate, pattern_keys
-        )
-        self._last_level_scan_units = [
-            sum(len(tids) for tids in batch.tid_lists) for batch in batches
-        ]
-        # Scatter/gather: all shards evaluate their slice of the level
-        # concurrently under the process backend.
-        pending = self._scatter(
-            [
-                (batch.shard, ("batch", batch.wires, batch.tid_lists, batch.keys))
-                for batch in batches
-                if not batch.is_empty()
-            ]
-        )
-        replies = self._gather(pending)
-        results: list[Sequence[Sequence[int]] | None] = [
-            replies.get(shard) for shard in range(self.n_shards)
-        ]
-        return self.planner.merge(len(patterns), batches, results, self.to_global)
-
     def open_session(self) -> MiningSession:
         """A stateful :class:`ShardedSession` over this engine."""
         return ShardedSession(self)
@@ -1183,7 +1120,6 @@ class ShardedSession(MiningSession):
         # Placement skew across every shard, idle shards included: the
         # level's per-shard scan workload as the planner routed it.
         scan_units = [batch.scan_tids for batch in batches]
-        runtime._last_level_scan_units = scan_units
         telemetry["shard_scan_max"] = max(scan_units)
         telemetry["shard_scan_min"] = min(scan_units)
         placement_loads = runtime.placement_loads

@@ -1,7 +1,7 @@
 """Flat-buffer wire codecs for the sharded runtime.
 
-The sharded runtime's messages — transaction registration, per-level
-support batches, session deltas — are plain tuples of graph wires, tid
+The sharded runtime's messages — transaction registration, label
+deltas, session levels — are plain tuples of graph wires, tid
 lists, and bitset buffers.  Pickling them is correct but pays per-object
 tag-and-memo overhead on exactly the values that dominate a mining run:
 thousands of tiny graph wires and sorted tid lists.  This module encodes
@@ -525,23 +525,6 @@ def _read_tid_list(buffer: bytes, pos: int) -> tuple[list, int]:
     return tids, pos
 
 
-def _write_tid_lists(out: bytearray, tid_lists) -> None:
-    if type(tid_lists) is not list:
-        raise _Unencodable("tid lists shape")
-    _write_uvarint(out, len(tid_lists))
-    for tids in tid_lists:
-        _write_tid_list(out, tids)
-
-
-def _read_tid_lists(buffer: bytes, pos: int) -> tuple[list, int]:
-    count, pos = _read_uvarint(buffer, pos)
-    lists = []
-    for _ in range(count):
-        tids, pos = _read_tid_list(buffer, pos)
-        lists.append(tids)
-    return lists, pos
-
-
 def _write_wires(out: bytearray, wires) -> None:
     if type(wires) is not list:
         raise _Unencodable("wire list shape")
@@ -621,11 +604,12 @@ def _read_payloads(buffer: bytes, pos: int) -> tuple[list, int]:
 # message registry
 # ---------------------------------------------------------------------------
 
+#: Codes 4 and 5 belonged to retired ops; a retired code is never reused,
+#: so a stale buffer fails to decode instead of decoding as another op.
 _OP_CODES = {
     "labels": 1,
     "add": 2,
     "release": 3,
-    "batch": 4,
     "slevel": 6,
     "sevict": 7,
 }
@@ -646,11 +630,6 @@ def _encode_body(out: bytearray, message: tuple) -> None:
     elif op == "sevict":
         (_, items) = message
         _write_values(out, items)
-    elif op == "batch":
-        (_, wires, tid_lists, keys) = message
-        _write_wires(out, wires)
-        _write_tid_lists(out, tid_lists)
-        _write_values(out, keys)
     elif op == "slevel":
         (_, evictions, payloads, uids, parent_uids, extensions, bounds) = message
         _write_values(out, evictions)
@@ -708,11 +687,6 @@ def decode_message(buffer: bytes) -> tuple:
     elif op == "sevict":
         items, pos = _read_values(buffer, pos)
         message = ("sevict", items)
-    elif op == "batch":
-        wires, pos = _read_wires(buffer, pos)
-        tid_lists, pos = _read_tid_lists(buffer, pos)
-        keys, pos = _read_values(buffer, pos)
-        message = ("batch", wires, tid_lists, keys)
     else:  # slevel
         evictions, pos = _read_values(buffer, pos)
         payloads, pos = _read_payloads(buffer, pos)

@@ -37,11 +37,17 @@ from repro.runtime import (
     ProcessBackend,
     SerialBackend,
     ShardedEngine,
+    ShardWorker,
     SimulatedWorkerDeath,
     WorkerDeath,
     resolve_faults,
 )
-from repro.runtime.faults import CORRUPTED_REPLY, FaultInjector, compile_injector
+from repro.runtime.faults import (
+    CORRUPTED_REPLY,
+    WORKER_OPS,
+    FaultInjector,
+    compile_injector,
+)
 from repro.scenarios import differential_check, get_scenario
 
 
@@ -130,6 +136,29 @@ class TestFaultPlanGrammar:
     def test_bad_specs_rejected(self, bad):
         with pytest.raises(ValueError):
             FaultPlan.parse(bad)
+
+    @pytest.mark.parametrize("op", ["batch", "slevl", "trace", "faults"])
+    def test_unknown_op_rejected_by_name(self, op):
+        # A clause filtering on an op no worker handles (a retired op, a
+        # typo, or a control op the injector never sees) could never
+        # fire, so the plan is refused instead of silently inert.
+        with pytest.raises(ValueError, match=f"unknown fault clause op '{op}'"):
+            FaultPlan.parse(f"kill:shard=1,op={op}")
+
+    def test_every_worker_op_parses_and_is_handled(self):
+        messages = {
+            "labels": ("labels", []),
+            "add": ("add", []),
+            "release": ("release", []),
+            "slevel": ("slevel", [], [], [], [], [], []),
+            "sevict": ("sevict", []),
+            "stats": ("stats",),
+        }
+        assert set(messages) == set(WORKER_OPS)
+        worker = ShardWorker()
+        for op in WORKER_OPS:
+            assert FaultPlan.parse(f"kill:op={op}").clauses[0].op == op
+            worker(messages[op])  # a handled op, not "unknown shard message"
 
     def test_sticky_only_and_for_shard_filters(self):
         plan = FaultPlan.parse("kill:shard=0; hang:shard=1,sticky; corrupt-reply")

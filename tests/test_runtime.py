@@ -22,13 +22,16 @@ from repro.graphs.labeled_graph import LabeledGraph
 from repro.mining.fsg.miner import FSGMiner
 from repro.runtime import (
     BatchSupportPlanner,
+    LevelRequest,
     SerialRuntime,
     ShardedEngine,
     WorkerError,
+    bits_of,
     create_runtime,
     merge_stats,
     resolve_backend,
     resolve_workers,
+    tids_from_buffer,
 )
 from repro.runtime.pool import ProcessBackend, SerialBackend
 
@@ -121,21 +124,6 @@ class TestEquivalence:
         assert mining_signature(second) == mining_signature(
             FSGMiner(min_support=3, max_edges=2).mine(corpus_b)
         )
-
-    def test_batch_support_matches_pattern_major(self):
-        corpus = random_corpus(13, size=12)
-        pattern = LabeledGraph(name="p")
-        pattern.add_vertex("a", "A")
-        pattern.add_vertex("b", "B")
-        pattern.add_edge("a", "b", "x")
-        serial = SerialRuntime()
-        tids = serial.add_transactions(corpus)
-        expected = serial.support(pattern, tids)
-        engine = MatchEngine()
-        engine.add_transactions(corpus)
-        batched = engine.batch_support([pattern, pattern], [tids, tids[:5]])
-        assert batched[0] == expected
-        assert batched[1] == expected & frozenset(tids[:5])
 
 
 # ----------------------------------------------------------------------
@@ -240,13 +228,16 @@ class TestShardedEngine:
             pattern.add_vertex("a", "A")
             pattern.add_vertex("b", "B")
             pattern.add_edge("a", "b", "x")
-            runtime.batch_support([pattern], [tids])
+            with runtime.open_session() as session:
+                session.support_level(
+                    [LevelRequest(pattern=pattern, tid_bits=bits_of(tids))]
+                )
             stats = runtime.stats()
         finally:
             runtime.close()
         assert stats["shards"] == 2
         # Every transaction indexed once across the shards, plus one
-        # pattern index per shard that received the batch.
+        # pattern index per shard that received the level.
         assert stats["indexes_built"] >= len(corpus)
         assert stats["searches"] + stats["early_rejects"] > 0
 
@@ -261,8 +252,26 @@ class TestShardedEngine:
             tids = runtime.add_transactions(corpus)
             runtime.release_transactions(tids[:2])
             pattern = corpus[0].copy()
-            with pytest.raises(KeyError):
-                runtime.batch_support([pattern], [tids[:1]])
+            with runtime.open_session() as session, pytest.raises(KeyError):
+                session.support_level(
+                    [LevelRequest(pattern=pattern, tid_bits=bits_of(tids[:1]))]
+                )
+        finally:
+            runtime.close()
+
+    def test_full_search_refuses_sharded_runtime(self):
+        # use_embedding_store=False is the serial full-search reference:
+        # a sharded runtime is refused before any transaction ships.
+        runtime = ShardedEngine(shards=2, backend="serial")
+        try:
+            posted = runtime.wire_bytes_shipped
+            miner = FSGMiner(
+                min_support=2, max_edges=2, use_embedding_store=False, runtime=runtime
+            )
+            with pytest.raises(ValueError, match="SerialRuntime"):
+                miner.mine(random_corpus(29, size=6))
+            assert runtime.wire_bytes_shipped == posted
+            assert runtime.n_transactions == 0
         finally:
             runtime.close()
 
@@ -272,14 +281,19 @@ class TestShardedEngine:
         pattern = LabeledGraph(name="p")
         pattern.add_vertex("a", "A")
         # Both tids live on shard 1; shards 0 and 2 get empty batches.
-        batches = planner.plan([pattern], [[4, 7]], table, lambda tid: (1, tid))
+        request = LevelRequest(pattern=pattern, tid_bits=bits_of([4, 7]))
+        batches = planner.plan_session_level([request], table, lambda tid: (1, tid))
         assert [batch.is_empty() for batch in batches] == [True, False, True]
-        assert batches[1].tid_lists == [[4, 7]]
+        assert batches[1].scan_tids == 2
+        (payload,) = batches[1].payloads
+        assert payload[0] == "w"
+        assert tids_from_buffer(payload[2]) == [4, 7]
 
     @pytest.mark.parametrize(
         "bad",
         [
             {"faults": "bogus:shard=1"},
+            pytest.param({"faults": "kill:op=bogus"}, id="faults-op"),
             {"worker_timeout": "soon"},
             {"session_store_capacity": 0},
             {"session_protocol": "full"},

@@ -417,22 +417,6 @@ class TestScatterGather:
                 session.close()
             runtime.close()
 
-    def test_batch_support_is_scatter_gather_too(self):
-        corpus = random_corpus(97, size=8)
-        runtime = ShardedEngine(shards=2, backend="serial")
-        try:
-            tids = runtime.add_transactions(corpus)
-            recorder = _RecordingPool(runtime._pool)
-            runtime._pool = recorder
-            recorder.events.clear()
-            runtime.batch_support([edge_pattern()], [tids])
-            kinds = [kind for kind, _ in recorder.events]
-            assert kinds == sorted(kinds, key=lambda kind: kind != "send"), (
-                "expected every send before the first recv, got " + repr(kinds)
-            )
-        finally:
-            runtime.close()
-
 
 # ----------------------------------------------------------------------
 # Worker failure paths

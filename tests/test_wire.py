@@ -34,6 +34,7 @@ from repro.runtime import (
     resolve_wire,
     wire_cost,
 )
+from repro.runtime import pool
 from repro.runtime.pool import ProcessBackend, resolve_shm_threshold
 from repro.runtime.wire import (
     WireFormatError,
@@ -142,13 +143,12 @@ class TestKnobResolution:
                 ShardedEngine(shards=3, backend="serial", placement=other)
 
     def test_resolve_shm_threshold(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SHM_THRESHOLD", raising=False)
-        assert resolve_shm_threshold(None) is not None
-        monkeypatch.setenv("REPRO_SHM_THRESHOLD", "4096")
-        assert resolve_shm_threshold(None) == 4096
+        assert resolve_shm_threshold(None) == pool.DEFAULT_SHM_THRESHOLD
+        assert resolve_shm_threshold(4096) == 4096
         assert resolve_shm_threshold(0) is None  # <= 0 disables shm transport
         assert resolve_shm_threshold(-5) is None
-        monkeypatch.setenv("REPRO_SHM_THRESHOLD", "0")
+        # The default is read at call time, so tests can lower it.
+        monkeypatch.setattr(pool, "DEFAULT_SHM_THRESHOLD", 0)
         assert resolve_shm_threshold(None) is None
 
 
@@ -294,6 +294,13 @@ class TestMessageCodec:
         assert encode_message(("unknown_op", [1])) is None
         # Ops the engine does not send have no codec.
         assert encode_message(("drop_anchors", [(3, 0)])) is None
+        # Nor does the retired sessionless "batch" op, and its old op
+        # code no longer decodes as anything.
+        wire = ("g0", (0,), [], ("v0",))
+        assert encode_message(("batch", [wire], [[1, 2]], [None])) is None
+        release = encode_message(("release", [1, 2]))
+        with pytest.raises(WireFormatError, match="unknown op code 4"):
+            decode_message(release[:3] + b"\x04" + release[4:])
         assert encode_message("not a tuple") is None
         assert encode_message(()) is None
         assert encode_message(("release", [3, 1, 2])) is None  # unsorted
@@ -349,7 +356,7 @@ def _echo_factory():
 class TestShmTransport:
     def test_process_mining_over_shm_matches_serial(self, monkeypatch):
         # A 1-byte threshold forces every blob through a segment.
-        monkeypatch.setenv("REPRO_SHM_THRESHOLD", "1")
+        monkeypatch.setattr(pool, "DEFAULT_SHM_THRESHOLD", 1)
         corpus = random_corpus(47)
         serial_sig, serial_bytes, _ = mine_with(corpus, backend="serial")
         process_sig, process_bytes, _ = mine_with(corpus, backend="process")
@@ -361,7 +368,7 @@ class TestShmTransport:
         # The leak regression behind supervision: a worker SIGKILLed
         # while segments are in flight must not leave /dev/shm residue
         # once recovery (respawn + replay) finishes.
-        monkeypatch.setenv("REPRO_SHM_THRESHOLD", "1")
+        monkeypatch.setattr(pool, "DEFAULT_SHM_THRESHOLD", 1)
         corpus = random_corpus(53)
         reference = mining_signature(FSGMiner(min_support=2, max_edges=3).mine(corpus))
         runtime = ShardedEngine(shards=2, backend="process", faults="kill:shard=1,level=2")
