@@ -52,6 +52,8 @@ class LabeledGraph:
         self._vertex_labels: dict[VertexId, Label] = {}
         self._succ: dict[VertexId, dict[VertexId, Label]] = {}
         self._pred: dict[VertexId, dict[VertexId, Label]] = {}
+        # Edge count kept alongside the adjacency so n_edges is O(1).
+        self._n_edges = 0
         # Mutation counter: bumped by every structural or label change so
         # external caches (e.g. the match engine's per-graph indexes) can
         # detect staleness without hashing the whole graph.
@@ -77,7 +79,10 @@ class LabeledGraph:
             self.add_vertex(source)
         if target not in self._vertex_labels:
             self.add_vertex(target)
-        self._succ[source][target] = label
+        targets = self._succ[source]
+        if target not in targets:
+            self._n_edges += 1
+        targets[target] = label
         self._pred[target][source] = label
         self._version += 1
 
@@ -85,6 +90,7 @@ class LabeledGraph:
         """Remove the edge ``source -> target``; raises ``KeyError`` if absent."""
         del self._succ[source][target]
         del self._pred[target][source]
+        self._n_edges -= 1
         self._version += 1
 
     def remove_vertex(self, vertex: VertexId) -> None:
@@ -109,7 +115,7 @@ class LabeledGraph:
     @property
     def n_edges(self) -> int:
         """Number of directed edges."""
-        return sum(len(targets) for targets in self._succ.values())
+        return self._n_edges
 
     def vertices(self) -> Iterator[VertexId]:
         """Iterate over vertex identifiers."""
@@ -186,10 +192,6 @@ class LabeledGraph:
     # ------------------------------------------------------------------
     def copy(self, name: str | None = None) -> "LabeledGraph":
         """A deep copy of the graph structure and labels."""
-        # Clones the adjacency dicts directly (preserving insertion
-        # order) instead of replaying add_vertex/add_edge: candidate
-        # generation copies every pattern once per extension, making
-        # this one of the miner's hottest allocation sites.
         # Clones the adjacency dicts directly instead of replaying
         # add_vertex/add_edge: candidate generation copies every pattern
         # once per extension, making this one of the miner's hottest
@@ -209,6 +211,7 @@ class LabeledGraph:
             for target, label in targets.items():
                 pred[target][source] = label
         clone._pred = pred
+        clone._n_edges = self._n_edges
         return clone
 
     def subgraph(self, vertices: Iterable[VertexId]) -> "LabeledGraph":

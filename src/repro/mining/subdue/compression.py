@@ -36,7 +36,13 @@ def compress_instances(
     instances: list[Instance],
     replacement_label: str = "SUB",
 ) -> LabeledGraph:
-    """Collapse an explicit list of vertex-disjoint instances."""
+    """Collapse an explicit list of vertex-disjoint instances.
+
+    Instance ``i`` becomes the vertex ``f"{replacement_label}_{i}"``,
+    primed (``'`` appended) until the name is not a host vertex — a host
+    vertex that happens to carry a replacement's name must stay its own
+    vertex, not silently merge into the replacement.
+    """
     owner: dict[VertexId, int] = {}
     for index, instance in enumerate(instances):
         for vertex in instance.vertices:
@@ -45,7 +51,14 @@ def compress_instances(
             owner[vertex] = index
 
     compressed = LabeledGraph(name=f"{host.name}-compressed")
-    replacement_names = {index: f"{replacement_label}_{index}" for index in range(len(instances))}
+    replacement_names: dict[int, str] = {}
+    for index in range(len(instances)):
+        # Distinct indices give distinct names whatever the primes: the
+        # index digits end the name before any prime.
+        name = f"{replacement_label}_{index}"
+        while name in host:
+            name += "'"
+        replacement_names[index] = name
 
     for vertex in host.vertices():
         if vertex in owner:
@@ -65,11 +78,7 @@ def compress_instances(
         if source_owner is not None and source_owner == target_owner:
             # Edge internal to an instance: absorbed by the replacement vertex.
             continue
-        source = resolve(edge.source)
-        target = resolve(edge.target)
-        if source == target:
-            continue
-        compressed.add_edge(source, target, edge.label)
+        compressed.add_edge(resolve(edge.source), resolve(edge.target), edge.label)
     return compressed
 
 

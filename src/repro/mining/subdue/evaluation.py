@@ -24,8 +24,7 @@ from typing import Sequence
 from repro.graphs.engine import MatchEngine
 from repro.graphs.isomorphism import has_embedding
 from repro.graphs.labeled_graph import LabeledGraph
-from repro.mining.subdue.compression import compress_instances
-from repro.mining.subdue.mdl import description_length, graph_size
+from repro.mining.subdue.mdl import counts_description_length, description_length, graph_size
 from repro.mining.subdue.substructure import Substructure
 
 
@@ -50,8 +49,19 @@ def _host_label_counts(
     )
 
 
-def _compression_stats(host: LabeledGraph, substructure: Substructure) -> dict[str, object]:
-    """Compress the host and account for edges merged away by the rewrite.
+def _compression_stats(host: LabeledGraph, substructure: Substructure) -> dict[str, int]:
+    """Count what collapsing the substructure's instances would leave of the host.
+
+    The counts are those of the rewrite in
+    :mod:`repro.mining.subdue.compression` applied to the non-overlapping
+    instances, read off the edges incident on covered vertices instead of
+    a rewritten copy of the host:
+
+    * an edge inside one instance is absorbed;
+    * an edge leaving an instance becomes an edge of its replacement
+      vertex, and edges that land on the same ordered pair of
+      replacement/outside vertices merge into one;
+    * every other edge survives unchanged.
 
     The compressed graph is a simple graph, so boundary edges from several
     instance vertices to the same outside vertex merge into one edge.
@@ -59,25 +69,41 @@ def _compression_stats(host: LabeledGraph, substructure: Substructure) -> dict[s
     so the evaluation functions add them back explicitly.
     """
     instances = substructure.non_overlapping()
-    compressed = compress_instances(host, instances)
+    owner: dict = {}
+    for index, instance in enumerate(instances):
+        for vertex in instance.vertices:
+            owner[vertex] = index
+    touched = 0
+    # Compressed edges with a replacement endpoint, one set per shape so
+    # an instance index can never be mistaken for a host vertex.
+    leaving: set = set()
+    entering: set = set()
+    between: set = set()
+    for vertex, index in owner.items():
+        for target in host.successors(vertex):
+            touched += 1
+            target_owner = owner.get(target)
+            if target_owner is None:
+                leaving.add((index, target))
+            elif target_owner != index:
+                between.add((index, target_owner))
+        for source in host.predecessors(vertex):
+            if source not in owner:
+                touched += 1
+                entering.add((source, index))
+    boundary = len(leaving) + len(entering) + len(between)
+    compressed_edges = host.n_edges - touched + boundary
     internal_edges = sum(instance.n_edges for instance in instances)
-    covered_vertices = sum(len(instance.vertices) for instance in instances)
-    merged_edges = max(0, (host.n_edges - internal_edges) - compressed.n_edges)
-    replacement_vertices = {
-        vertex for vertex in compressed.vertices() if compressed.vertex_label(vertex) == "SUB"
-    }
-    boundary_edges = sum(
-        1
-        for edge in compressed.edges()
-        if edge.source in replacement_vertices or edge.target in replacement_vertices
-    )
+    covered_vertices = len(owner)
+    merged_edges = max(0, (host.n_edges - internal_edges) - compressed_edges)
     return {
-        "compressed": compressed,
+        "compressed_vertices": host.n_vertices - covered_vertices + len(instances),
+        "compressed_edges": compressed_edges,
         "n_instances": len(instances),
         "internal_edges": internal_edges,
         "covered_vertices": covered_vertices,
         "merged_edges": merged_edges,
-        "boundary_edges": boundary_edges + merged_edges,
+        "boundary_edges": boundary + merged_edges,
     }
 
 
@@ -114,11 +140,13 @@ def mdl_value(
     original = description_length(host, n_vertex_labels, n_edge_labels)
     sub_dl = description_length(substructure.pattern, n_vertex_labels, n_edge_labels)
     stats = _compression_stats(host, substructure)
-    compressed = stats["compressed"]
-    compressed_dl = description_length(compressed, n_vertex_labels + 1, n_edge_labels)
+    compressed_vertices = stats["compressed_vertices"]
+    compressed_dl = counts_description_length(
+        compressed_vertices, stats["compressed_edges"], n_vertex_labels + 1, n_edge_labels
+    )
 
     # Edges merged away by the simple-graph rewrite still need describing.
-    per_edge_bits = 2.0 * math.log2(max(2, compressed.n_vertices)) + math.log2(max(2, n_edge_labels))
+    per_edge_bits = 2.0 * math.log2(max(2, compressed_vertices)) + math.log2(max(2, n_edge_labels))
     merged_bits = stats["merged_edges"] * per_edge_bits
     # Boundary edges must record which internal vertex they attached to.
     attachment_bits = stats["boundary_edges"] * math.log2(max(2, substructure.pattern.n_vertices))
@@ -140,7 +168,9 @@ def size_value(host: LabeledGraph, substructure: Substructure) -> float:
     """
     original = graph_size(host)
     stats = _compression_stats(host, substructure)
-    compressed_size = graph_size(stats["compressed"]) + stats["merged_edges"]
+    compressed_size = (
+        stats["compressed_vertices"] + stats["compressed_edges"] + stats["merged_edges"]
+    )
     denominator = graph_size(substructure.pattern) + compressed_size
     if denominator <= 0:
         return 0.0

@@ -6,9 +6,26 @@ the pattern they form.  Working at the instance level (rather than
 re-running subgraph isomorphism against the whole host graph) keeps each
 expansion step proportional to the number of instances times the local
 edge density.
+
+Every extension is described position-wise against the parent's aligned
+vertex order, so children made the same way share a key and are grouped
+without an isomorphism test (see
+:func:`~repro.mining.subdue.substructure.group_instances_by_pattern`):
+
+* ``("f", pos, edge label, new vertex label)`` — an edge out of position
+  ``pos`` to a new vertex;
+* ``("r", pos, edge label, new vertex label)`` — an edge from a new
+  vertex into position ``pos``;
+* ``("b", pos_src, pos_tgt, edge label)`` — an edge between two
+  positions already in the instance.
+
+The new vertex of an ``"f"`` or ``"r"`` extension takes the next
+position.
 """
 
 from __future__ import annotations
+
+from typing import Iterator
 
 from repro.graphs.engine import MatchEngine
 from repro.graphs.labeled_graph import LabeledGraph
@@ -47,25 +64,37 @@ def initial_substructures(
     for label, instances in by_label.items():
         pattern = LabeledGraph(name=f"seed-{label}")
         pattern.add_vertex("p0", label)
-        substructures.append(Substructure(pattern=pattern, instances=instances))
+        substructures.append(
+            Substructure(pattern=pattern, instances=instances, alignment=(label,))
+        )
     return substructures
+
+
+def _extensions(host: LabeledGraph, instance: Instance) -> Iterator[tuple[Instance, tuple]]:
+    """Each one-edge extension of *instance* with its extension descriptor."""
+    vertices = instance.vertices
+    position = {vertex: index for index, vertex in enumerate(instance.order)}
+    inner: set = set()
+    for vertex in sorted(vertices, key=str):
+        for edge in host.incident_edges(vertex):
+            source, target = edge.source, edge.target
+            if source not in vertices:
+                descriptor = ("r", position.get(target), edge.label, host.vertex_label(source))
+            elif target not in vertices:
+                descriptor = ("f", position.get(source), edge.label, host.vertex_label(target))
+            else:
+                # Both endpoints inside: the edge may be covered already,
+                # or be met a second time from its other endpoint.
+                if edge in instance.edges or edge in inner:
+                    continue
+                inner.add(edge)
+                descriptor = ("b", position.get(source), position.get(target), edge.label)
+            yield instance.extended_with(edge), descriptor
 
 
 def expand_instance(host: LabeledGraph, instance: Instance) -> list[Instance]:
     """All one-edge extensions of *instance* using edges incident on it."""
-    extensions: list[Instance] = []
-    seen: set[frozenset] = set()
-    for vertex in sorted(instance.vertices, key=str):
-        for edge in host.incident_edges(vertex):
-            if edge in instance.edges:
-                continue
-            extended = instance.extended_with(edge)
-            key = extended.edges
-            if key in seen:
-                continue
-            seen.add(key)
-            extensions.append(extended)
-    return extensions
+    return [extended for extended, _ in _extensions(host, instance)]
 
 
 def expand_substructure(
@@ -76,12 +105,21 @@ def expand_substructure(
     """Expand every instance by one edge and re-group by pattern.
 
     Duplicate instances (identical edge sets reached from different parent
-    instances) are merged before grouping.
+    instances) are merged before grouping; the first one reached keeps
+    its key.  Children of an aligned substructure are keyed by its
+    alignment plus their extension descriptor; children of an unaligned
+    one are classified one by one.
     """
-    extended: dict[tuple[frozenset, frozenset], Instance] = {}
+    alignment = substructure.alignment
+    extended: dict[tuple[frozenset, frozenset], tuple[Instance, tuple | None]] = {}
     for instance in substructure.instances:
-        for new_instance in expand_instance(host, instance):
-            extended[(new_instance.vertices, new_instance.edges)] = new_instance
+        for new_instance, descriptor in _extensions(host, instance):
+            identity = (new_instance.vertices, new_instance.edges)
+            if identity not in extended:
+                key = None if alignment is None else (alignment, descriptor)
+                extended[identity] = (new_instance, key)
     if not extended:
         return []
-    return group_instances_by_pattern(host, list(extended.values()), engine=engine)
+    instances = [instance for instance, _ in extended.values()]
+    keys = [key for _, key in extended.values()]
+    return group_instances_by_pattern(host, instances, engine=engine, keys=keys)

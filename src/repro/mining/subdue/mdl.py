@@ -43,13 +43,21 @@ def description_length(
     itself.  Passing the host graph's alphabet keeps substructure and
     compressed-graph encodings comparable.
     """
-    n_vertices = graph.n_vertices
-    n_edges = graph.n_edges
-    if n_vertices == 0:
-        return 0.0
     vertex_alphabet = n_vertex_labels if n_vertex_labels is not None else len(graph.vertex_label_counts())
     edge_alphabet = n_edge_labels if n_edge_labels is not None else len(graph.edge_label_counts())
+    return counts_description_length(graph.n_vertices, graph.n_edges, vertex_alphabet, edge_alphabet)
 
+
+def counts_description_length(
+    n_vertices: int, n_edges: int, vertex_alphabet: int, edge_alphabet: int
+) -> float:
+    """:func:`description_length` of any graph with these counts and alphabets.
+
+    The encoding reads nothing but the four numbers, so a graph that is
+    only counted — never built — costs the same bits, float for float.
+    """
+    if n_vertices == 0:
+        return 0.0
     vertex_bits = _safe_log2(n_vertices) + n_vertices * _safe_log2(vertex_alphabet)
     per_edge_bits = 2.0 * _safe_log2(n_vertices) + _safe_log2(edge_alphabet)
     edge_bits = _safe_log2(n_edges + 1) + n_edges * per_edge_bits

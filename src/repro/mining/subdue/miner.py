@@ -29,6 +29,7 @@ from repro.mining.subdue.compression import compress_graph
 from repro.mining.subdue.evaluation import EvaluationPrinciple, evaluate
 from repro.mining.subdue.expansion import expand_substructure, initial_substructures
 from repro.mining.subdue.substructure import Substructure
+from repro.obs.tracer import get_tracer
 
 
 @dataclass
@@ -80,46 +81,64 @@ class SubdueMiner:
         a private one) and every beam step — seeding, instance grouping,
         candidate evaluation — reuses that index instead of re-deriving
         label buckets and histograms per candidate.
+
+        The run records a ``subdue.mine`` span and, per beam step,
+        ``subdue.expand`` and ``subdue.evaluate`` spans through the active
+        tracer (the no-op one unless tracing is on).
         """
         start = time.perf_counter()
         engine = self.engine if self.engine is not None else MatchEngine()
+        tracer = get_tracer()
         result = SubdueResult(principle=self.principle)
-        frontier = initial_substructures(host, engine=engine)
-        best: list[Substructure] = []
-        evaluated = 0
+        with tracer.span(
+            "subdue.mine", n_vertices=host.n_vertices, n_edges=host.n_edges
+        ) as mine_span:
+            frontier = initial_substructures(host, engine=engine)
+            best: list[Substructure] = []
+            evaluated = 0
+            step = 0
 
-        while frontier:
-            expanded: list[Substructure] = []
-            for parent in frontier:
-                if (
-                    self.max_substructure_edges is not None
-                    and parent.pattern.n_edges >= self.max_substructure_edges
-                ):
-                    continue
-                expanded.extend(expand_substructure(host, parent, engine=engine))
-            if not expanded:
-                break
-
-            scored: list[Substructure] = []
-            for candidate in expanded:
-                if self.max_instances is not None and len(candidate.instances) > self.max_instances:
-                    # Cap the instance list so expansion cost stays bounded on
-                    # dense hubs (SUBDUE applies a similar instance limit).
-                    candidate.instances = candidate.instances[: self.max_instances]
-                if candidate.n_non_overlapping < self.min_instances:
-                    continue
-                candidate.value = evaluate(host, candidate, self.principle, engine=engine)
-                evaluated += 1
-                scored.append(candidate)
-                if self.limit is not None and evaluated >= self.limit:
+            while frontier:
+                step += 1
+                with tracer.span("subdue.expand", step=step) as span:
+                    expanded: list[Substructure] = []
+                    for parent in frontier:
+                        if (
+                            self.max_substructure_edges is not None
+                            and parent.pattern.n_edges >= self.max_substructure_edges
+                        ):
+                            continue
+                        expanded.extend(expand_substructure(host, parent, engine=engine))
+                    span.set(parents=len(frontier), candidates=len(expanded))
+                if not expanded:
                     break
 
-            best.extend(scored)
-            best = self._keep_best(best, self.max_best)
-            if self.limit is not None and evaluated >= self.limit:
-                break
-            frontier = self._keep_best(scored, self.beam_width)
+                with tracer.span("subdue.evaluate", step=step) as span:
+                    scored: list[Substructure] = []
+                    for candidate in expanded:
+                        if (
+                            self.max_instances is not None
+                            and len(candidate.instances) > self.max_instances
+                        ):
+                            # Cap the instance list so expansion cost stays bounded on
+                            # dense hubs (SUBDUE applies a similar instance limit).
+                            candidate.instances = candidate.instances[: self.max_instances]
+                        if candidate.n_non_overlapping < self.min_instances:
+                            continue
+                        candidate.value = evaluate(host, candidate, self.principle, engine=engine)
+                        evaluated += 1
+                        scored.append(candidate)
+                        if self.limit is not None and evaluated >= self.limit:
+                            break
+                    span.set(scored=len(scored))
 
+                best.extend(scored)
+                best = self._keep_best(best, self.max_best)
+                if self.limit is not None and evaluated >= self.limit:
+                    break
+                frontier = self._keep_best(scored, self.beam_width)
+
+            mine_span.set(steps=step, evaluated=evaluated)
         result.best = self._keep_best(best, self.max_best)
         result.evaluated = evaluated
         result.elapsed_seconds = time.perf_counter() - start

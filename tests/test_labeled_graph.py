@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.graphs.labeled_graph import Edge, LabeledGraph, LabeledMultiGraph
 
@@ -111,6 +113,47 @@ class TestLabeledGraphDerivation:
         back = LabeledGraph.from_networkx(nx_graph)
         assert back.n_vertices == 3 and back.n_edges == 3
         assert back.edge_label("b", "c") == 2
+
+
+_VERTICES = st.sampled_from(["a", "b", "c", "d"])
+_OPERATIONS = st.lists(
+    st.one_of(
+        # add_edge on a fresh pair, or an overwrite of an existing one
+        # (self-loops included).
+        st.tuples(st.just("add"), _VERTICES, _VERTICES, st.integers(0, 2)),
+        st.tuples(st.just("remove"), _VERTICES, _VERTICES),
+        st.tuples(st.just("remove_vertex"), _VERTICES),
+        st.tuples(st.just("copy")),
+        st.tuples(st.just("subgraph"), st.frozensets(_VERTICES)),
+        st.tuples(st.just("edge_subgraph"), st.integers(0, 3)),
+    ),
+    max_size=30,
+)
+
+
+class TestEdgeCounter:
+    """``n_edges`` is a kept counter; it must track the adjacency exactly."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_OPERATIONS)
+    def test_n_edges_matches_edge_iteration(self, operations):
+        graph = LabeledGraph()
+        for operation in operations:
+            kind = operation[0]
+            if kind == "add":
+                graph.add_edge(operation[1], operation[2], operation[3])
+            elif kind == "remove":
+                if graph.has_edge(operation[1], operation[2]):
+                    graph.remove_edge(operation[1], operation[2])
+            elif kind == "remove_vertex":
+                graph.remove_vertex(operation[1])
+            elif kind == "copy":
+                graph = graph.copy()
+            elif kind == "subgraph":
+                graph = graph.subgraph(operation[1])
+            else:
+                graph = graph.edge_subgraph(list(graph.edges())[operation[1] :])
+            assert graph.n_edges == len(list(graph.edges()))
 
 
 class TestLabeledMultiGraph:

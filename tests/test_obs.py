@@ -27,8 +27,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cli import main
+from repro.graphs.engine import MatchEngine
 from repro.graphs.labeled_graph import LabeledGraph
 from repro.mining.fsg.miner import FSGMiner
+from repro.mining.subdue.miner import SubdueMiner
 from repro.obs import (
     NULL_TRACER,
     MetricsRegistry,
@@ -44,6 +46,8 @@ from repro.obs import (
     write_jsonl,
 )
 from repro.runtime import SESSION_TELEMETRY_KEYS, ShardedEngine
+from repro.scenarios import get_scenario
+from repro.scenarios.harness import _subdue_payload
 
 
 # ----------------------------------------------------------------------
@@ -321,6 +325,44 @@ class TestNonStoreTelemetry:
         # serial session counts its requests; nothing crosses a wire.
         assert totals["patterns_full"] > 0
         assert totals["wire_bytes"] == 0
+
+
+class TestSubdueTracing:
+    def test_spans_and_counters_appear_and_payload_is_unchanged(self):
+        scenario = get_scenario("dense-uniform")
+        params = scenario.params
+        host = scenario.build().host
+
+        def mine():
+            engine = MatchEngine()
+            result = SubdueMiner(
+                beam_width=params.subdue_beam,
+                max_best=params.subdue_max_best,
+                max_substructure_edges=params.subdue_max_edges,
+                limit=params.subdue_limit,
+                engine=engine,
+            ).mine(host)
+            return _subdue_payload(engine, result), result.evaluated
+
+        untraced = mine()
+        with activate(Tracer()) as tracer:
+            traced = mine()
+        assert traced == untraced
+
+        names = [span.name for span in tracer.spans]
+        assert names.count("subdue.mine") == 1
+        steps = [span for span in tracer.spans if span.name == "subdue.evaluate"]
+        assert steps and names.count("subdue.expand") >= len(steps)
+        (mine_span,) = [span for span in tracer.spans if span.name == "subdue.mine"]
+        assert mine_span.attrs["evaluated"] == untraced[1]
+        assert sum(span.duration for span in steps) <= mine_span.duration
+
+        metrics = tracer.metrics
+        instances = metrics.counter_total("subdue.instances")
+        keys = metrics.counter_total("subdue.keys")
+        # Grouping by construction classifies far fewer keys than instances.
+        assert 0 < keys < instances
+        assert 0 < metrics.counter_total("subdue.isomorphism_tests")
 
 
 # ----------------------------------------------------------------------

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.graphs.labeled_graph import LabeledGraph
+from repro.graphs.labeled_graph import Edge, LabeledGraph
 from repro.graphs.motifs import chain, hub_and_spoke
 from repro.mining.subdue.compression import compress_graph, compress_instances, compression_ratio
 from repro.mining.subdue.evaluation import (
@@ -173,6 +173,33 @@ class TestCompression:
         assert compressed.n_vertices == 3
         assert compressed.n_edges == 2
         assert all(compressed.vertex_label(v) == "SUB" for v in compressed.vertices())
+
+    def test_host_vertex_named_like_a_replacement_stays_separate(self):
+        # A host vertex called SUB_0 — what compressing twice with the
+        # default label produces — must not merge into replacement 0, and
+        # its edges must not count as boundary edges.
+        host = LabeledGraph(name="named")
+        for vertex in ["a", "b", "c", "d", "SUB_0"]:
+            host.add_vertex(vertex, "place")
+        for source, target, label in [
+            ("a", "b", 1), ("c", "d", 1), ("b", "SUB_0", 2), ("SUB_0", "c", 2), ("a", "c", 3),
+        ]:
+            host.add_edge(source, target, label)
+        first = Instance.from_vertex("a").extended_with(Edge("a", "b", 1))
+        second = Instance.from_vertex("c").extended_with(Edge("c", "d", 1))
+        substructure = Substructure(pattern=instance_pattern(host, first), instances=[first, second])
+
+        compressed = compress_graph(host, substructure)
+        assert compressed.n_vertices == 3 and compressed.n_edges == 3
+        assert compressed.vertex_label("SUB_0") == "place"
+        replacements = set(compressed.vertices()) - {"SUB_0"}
+        assert {compressed.vertex_label(v) for v in replacements} == {"SUB"}
+        # Host vertex -> replacement 1, replacement 0 -> host vertex, and
+        # replacement 0 -> replacement 1.
+        assert compressed.has_edge("SUB_0", "SUB_1")
+        # Before the fix the rewrite read 2 vertices / 1 edge and MDL 1.105.
+        assert mdl_value(host, substructure) == pytest.approx(0.9310135026288094, abs=1e-12)
+        assert SubdueMiner().mine(compressed).best == []
 
     def test_compress_instances_rejects_overlap(self, star_graph):
         overlapping = [
